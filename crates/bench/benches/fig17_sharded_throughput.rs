@@ -1,28 +1,21 @@
 //! Figure 17 (beyond the paper): wall-clock RSS throughput of the
 //! `ShardedEngine` vs shard count, for MMQJP and MMQJP with view
-//! materialization on the Figure-16 workload — in both topologies.
+//! materialization on the Figure-16 workload.
 //!
-//! Two series per mode:
+//! The document stream is replicated to every shard and each shard runs
+//! Stage 1 over every document for its own patterns, so the `parse` column
+//! (total Stage-1 work summed across shards) grows with the shard count.
+//! Expected shape on an `N`-core machine: throughput grows with the shard
+//! count until the cores saturate. On a single-core runner the sweep
+//! degenerates to ≈ 1× — the table still prints the speedup and parse
+//! columns so the trend is visible wherever the bench runs.
 //!
-//! - **replicated** (`front_pool = 0`): the document stream is cloned to
-//!   every shard, so each shard re-runs parsing and Stage-1 pattern matching.
-//!   The `parse` column (total Stage-1 work summed across shards) grows
-//!   roughly linearly with the shard count — the replication tax.
-//! - **hybrid** (`front_pool >= 1`): a document-parallel front stage parses
-//!   each document exactly once and routes witness rows to subscribing
-//!   shards, pipelining Stage 1 of batch `k+1` with Stage 2 of batch `k`.
-//!   The `parse` column stays flat as shards are added — the per-document
-//!   Stage-1 cost no longer scales with the shard count.
-//!
-//! Expected shape on an `N`-core machine: both series grow with the shard
-//! count until saturation, with hybrid holding its advantage as the
-//! replicated topology's duplicated Stage-1 work eats its scaling. On a
-//! single-core runner the sweep degenerates to ≈ 1× — the table still
-//! prints the speedup and parse columns so the trend is visible wherever
-//! the bench runs.
+//! The run also times the engine's Stage 1 (the shared automaton pass)
+//! against the per-pattern DOM matcher kept as its test oracle, on the same
+//! patterns and documents, and asserts both give identical edge bindings.
 //!
 //! When the `MMQJP_BENCH_JSON_FIG17` environment variable names a file, the
-//! run additionally writes both series as JSON (`BENCH_fig17.json` in CI) so
+//! run additionally writes the series as JSON (`BENCH_fig17.json` in CI) so
 //! the sharding trajectory is tracked as an artifact from PR to PR. (A
 //! separate variable from fig16's `MMQJP_BENCH_JSON`, which is set for the
 //! whole bench run in CI and must keep naming fig16's artifact.)
@@ -37,15 +30,10 @@ use mmqjp_core::ProcessingMode;
 /// runs on the same machine and scale differ only by timer noise.
 const SEED: u64 = 16;
 
-/// Front-pool size of the hybrid series. Small on purpose: the point of the
-/// figure is that parse-once wins on routing, not on front-stage
-/// parallelism, so the front is kept narrower than the shard sweep.
-const FRONT_POOL: usize = 2;
-
 pub fn main() {
     figure_header(
         "Figure 17",
-        "RSS stream — wall-clock throughput vs shard count (replicated vs hybrid sharding)",
+        "RSS stream — wall-clock throughput vs shard count",
     );
     let scale = scale();
     let items = scale.rss_items();
@@ -54,65 +42,52 @@ pub fn main() {
     let num_queries = *scale.query_counts().last().expect("non-empty sweep");
     println!(
         "stream: {items} items, 418 channels, batch size {batch}, {num_queries} queries, \
-         hybrid front pool {FRONT_POOL}, {} cores available",
+         {} cores available",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
 
-    // (mode label, topology, shards, run) tuples for the JSON artifact.
-    let mut series: Vec<(&'static str, &'static str, usize, ShardedRssRun)> = Vec::new();
+    // (mode label, shards, run) tuples for the JSON artifact.
+    let mut series: Vec<(&'static str, usize, ShardedRssRun)> = Vec::new();
     for mode in [ProcessingMode::MmqjpViewMat, ProcessingMode::Mmqjp] {
-        for (topology, front_pool) in [("replicated", 0), ("hybrid", FRONT_POOL)] {
-            println!("\n=== Figure 17 — {} / {topology} ===", mode.label());
+        println!("\n=== Figure 17 — {} ===", mode.label());
+        println!(
+            "{:>24}  {:>18}  {:>12}  {:>12}  {:>12}  {:>10}",
+            "shards", "throughput", "speedup", "parse", "join", "matches"
+        );
+        let mut base = None;
+        for &shards in &shard_counts {
+            let run = run_sharded_rss_benchmark(mode, shards, num_queries, items, batch, SEED);
+            series.push((mode.label(), shards, run));
+            let base = *base.get_or_insert(run.wall_throughput);
+            let speedup = if base > 0.0 {
+                run.wall_throughput / base
+            } else {
+                0.0
+            };
             println!(
-                "{:>24}  {:>18}  {:>12}  {:>12}  {:>12}  {:>10}",
-                "shards", "throughput", "speedup", "parse", "join", "matches"
+                "{:>24}  {:>18}  {:>11.2}x  {:>12}  {:>12}  {:>10}",
+                format!("{shards} shards"),
+                format!("{:.0} docs/s", run.wall_throughput),
+                speedup,
+                format!("{:.1} ms", run.parse_time.as_secs_f64() * 1e3),
+                format!("{:.1} ms", run.join_time.as_secs_f64() * 1e3),
+                run.matches,
             );
-            let mut base = None;
-            for &shards in &shard_counts {
-                let run = run_sharded_rss_benchmark(
-                    mode,
-                    shards,
-                    front_pool,
-                    num_queries,
-                    items,
-                    batch,
-                    SEED,
-                );
-                series.push((mode.label(), topology, shards, run));
-                let base = *base.get_or_insert(run.wall_throughput);
-                let speedup = if base > 0.0 {
-                    run.wall_throughput / base
-                } else {
-                    0.0
-                };
-                println!(
-                    "{:>24}  {:>18}  {:>11.2}x  {:>12}  {:>12}  {:>10}",
-                    format!("{shards} shards"),
-                    format!("{:.0} docs/s", run.wall_throughput),
-                    speedup,
-                    format!("{:.1} ms", run.parse_time.as_secs_f64() * 1e3),
-                    format!("{:.1} ms", run.join_time.as_secs_f64() * 1e3),
-                    run.matches,
-                );
-            }
         }
     }
 
-    // Streaming-vs-DOM Stage-1 front comparison at the full query count:
-    // the shared automaton answers every pattern in one traversal, so its
-    // Stage-1 time must stay clearly below the per-pattern DOM front.
-    let front = run_front_stage1_comparison(ProcessingMode::Mmqjp, num_queries, items, batch, SEED);
+    // Stage 1 vs its DOM oracle at the full query count: the shared
+    // automaton answers every pattern in one traversal, so its time must
+    // stay clearly below one matcher walk per pattern. The comparison
+    // panics if the two ever disagree.
+    let front = run_front_stage1_comparison(num_queries, items, SEED);
     let ratio = front.streaming.as_secs_f64() / front.dom.as_secs_f64().max(f64::MIN_POSITIVE);
     println!(
-        "\nStage-1 front at {num_queries} queries: streaming {:.1} ms vs DOM {:.1} ms \
-         ({ratio:.2}x), {} matches each",
+        "\nStage 1 at {num_queries} queries: shared pass {:.1} ms vs DOM oracle {:.1} ms \
+         ({ratio:.2}x), {} edge bindings each",
         front.streaming.as_secs_f64() * 1e3,
         front.dom.as_secs_f64() * 1e3,
-        front.matches_streaming,
-    );
-    assert_eq!(
-        front.matches_streaming, front.matches_dom,
-        "streaming and DOM fronts must be byte-identical"
+        front.bindings,
     );
 
     if let Ok(path) = std::env::var("MMQJP_BENCH_JSON_FIG17") {
@@ -144,14 +119,14 @@ pub fn main() {
 
 /// Hand-rolled JSON for the sharding series (no serde_json in the build
 /// environment): `{"figure", "scale", "items", "batch", "queries", "seed",
-/// "front_pool", "cores", "note", "series": [...]}`.
+/// "cores", "stage1_*", "note", "series": [...]}`.
 fn fig17_json(
     scale: &str,
     items: usize,
     batch: usize,
     queries: usize,
     front: &FrontStage1Comparison,
-    series: &[(&str, &str, usize, ShardedRssRun)],
+    series: &[(&str, usize, ShardedRssRun)],
 ) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ratio = front.streaming.as_secs_f64() / front.dom.as_secs_f64().max(f64::MIN_POSITIVE);
@@ -162,7 +137,6 @@ fn fig17_json(
     out.push_str(&format!("  \"batch\": {batch},\n"));
     out.push_str(&format!("  \"queries\": {queries},\n"));
     out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"front_pool\": {FRONT_POOL},\n"));
     out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(&format!(
         "  \"stage1_streaming_ms\": {:.3},\n",
@@ -175,26 +149,25 @@ fn fig17_json(
     out.push_str(&format!("  \"stage1_ratio\": {ratio:.3},\n"));
     out.push_str(&format!(
         "  \"note\": \"docs_per_sec is end-to-end wall clock; parse_ms is total Stage-1 \
-         work summed across shards and front (grows with shards when replicated, flat \
-         when hybrid); stage1_ratio is the shared streaming automaton's Stage-1 time over \
-         the per-pattern DOM front's at {queries} queries (single engine, identical output; \
-         must stay <= 0.7); every row's matches must be nonzero — the workload joins \
-         fields with themselves, so cross-document joins fire; absolute numbers vary by \
-         machine — only the cross-topology ratios at equal shard counts are comparable \
-         across runs\",\n",
+         work summed across shards (grows with the shard count, since every shard runs \
+         Stage 1 over every document); stage1_ratio is the shared automaton pass's \
+         Stage-1 time over the per-pattern DOM oracle's at {queries} queries (same \
+         patterns and documents, identical edge bindings; must stay <= 0.7); every row's \
+         matches must be nonzero — the workload joins fields with themselves, so \
+         cross-document joins fire; absolute numbers vary by machine — only ratios \
+         within one run are comparable across runs\",\n",
     ));
     out.push_str("  \"series\": [\n");
     let entries: Vec<String> = series
         .iter()
-        .map(|(mode, topology, shards, run)| {
+        .map(|(mode, shards, run)| {
             format!(
-                "    {{\"mode\": \"{mode}\", \"topology\": \"{topology}\", \"shards\": {shards}, \
+                "    {{\"mode\": \"{mode}\", \"shards\": {shards}, \
                  \"docs_per_sec\": {:.1}, \"parse_ms\": {:.3}, \"join_ms\": {:.3}, \
-                 \"pipeline_stalls\": {}, \"matches\": {}}}",
+                 \"matches\": {}}}",
                 run.wall_throughput,
                 run.parse_time.as_secs_f64() * 1e3,
                 run.join_time.as_secs_f64() * 1e3,
-                run.pipeline_stalls,
                 run.matches,
             )
         })

@@ -21,10 +21,11 @@ use mmqjp_workload::{
     RssQueryGenerator, RssStreamConfig, RssStreamGenerator,
 };
 use mmqjp_xml::Document;
+use mmqjp_xpath::SharedPass;
 use mmqjp_xscl::XsclQuery;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The three competitors of the paper's evaluation.
 pub const MODES: [ProcessingMode; 3] = [
@@ -194,39 +195,37 @@ pub fn run_rss_benchmark(
     }
 }
 
-/// Result of the streaming-vs-DOM Stage-1 front comparison on the RSS
-/// workload (recorded alongside the Figure-17 artifact).
+/// Result of the Stage-1 comparison on the RSS workload (recorded alongside
+/// the Figure-17 artifact): the shared automaton pass the engine runs
+/// against the per-pattern DOM matcher kept as its test oracle.
 #[derive(Debug, Clone, Copy)]
 pub struct FrontStage1Comparison {
-    /// Total Stage-1 time with the shared streaming automaton
-    /// ([`EngineConfig::streaming_front`] on): one document traversal
-    /// answers every registered pattern.
+    /// Total Stage-1 time of the shared automaton: one traversal per
+    /// document answers every registered pattern, then the requested edge
+    /// bindings are derived from the pass.
     pub streaming: Duration,
-    /// Total Stage-1 time with the per-pattern DOM front end
-    /// (`streaming_front` off): one matcher run per distinct pattern.
+    /// Total Stage-1 time of the DOM oracle: one matcher run per distinct
+    /// pattern.
     pub dom: Duration,
-    /// Matches produced by the streaming run.
-    pub matches_streaming: usize,
-    /// Matches produced by the DOM run (must equal the streaming count —
-    /// the two fronts are required to be byte-identical).
-    pub matches_dom: usize,
+    /// Edge bindings produced over the stream (identical for both; the
+    /// comparison asserts it).
+    pub bindings: usize,
 }
 
-/// Replay the RSS workload through a single engine with each Stage-1
-/// strategy — the shared streaming automaton and the per-pattern DOM front —
-/// and report the Stage-1 time of each. Both runs use the same seed, so the
-/// query set, stream and match output are identical; only the Stage-1
-/// strategy differs.
+/// Register the RSS workload's queries, then run Stage 1 over its stream
+/// at the [`PatternIndex`](mmqjp_xpath::PatternIndex) level two ways: the
+/// shared automaton (`shared_pass_reusing` + `edge_bindings_from_pass`,
+/// the engine's Stage 1) and the DOM oracle (`evaluate_edge_bindings`).
+/// Both see the same patterns, requested edges and documents; the function
+/// panics unless they return identical bindings for every document.
 ///
 /// Each leg is replayed `1 + REPS` times (one warmup, then `REPS` timed
-/// repetitions, legs interleaved) and the *minimum* Stage-1 time is kept:
-/// at artifact scale one replay is a handful of milliseconds, where a single
+/// repetitions, legs interleaved) and the *minimum* time is kept: at
+/// artifact scale one replay is a handful of milliseconds, where a single
 /// scheduler preemption or clock ramp would otherwise dominate the ratio.
 pub fn run_front_stage1_comparison(
-    mode: ProcessingMode,
     num_queries: usize,
     items: usize,
-    batch: usize,
     seed: u64,
 ) -> FrontStage1Comparison {
     const REPS: usize = 5;
@@ -238,41 +237,47 @@ pub fn run_front_stage1_comparison(
         ..RssStreamConfig::default()
     })
     .documents();
-
-    let replay = |streaming: bool| -> (Duration, usize) {
-        let config = EngineConfig {
-            mode,
-            ..EngineConfig::default()
-        }
-        .with_retain_documents(false)
-        .with_streaming_front(streaming);
-        let mut engine = engine_with_config(config, &queries);
-        let mut matches = 0usize;
-        for chunk in docs.chunks(batch.max(1)) {
-            matches += engine
-                .process_batch(chunk.to_vec())
-                .expect("batch processes")
-                .len();
-        }
-        (engine.stats().timings.xpath, matches)
-    };
+    let engine = engine_with(ProcessingMode::Mmqjp, &queries);
+    let mut index = engine.registry().pattern_index().clone();
+    let requested = engine.registry().requested_edges().clone();
 
     let mut times = [Duration::MAX; 2];
-    let mut match_counts = [0usize; 2];
+    let mut bindings = 0usize;
+    let mut pass = SharedPass::default();
     for rep in 0..=REPS {
-        for (i, streaming) in [true, false].into_iter().enumerate() {
-            let (t, matches) = replay(streaming);
-            match_counts[i] = matches;
-            if rep > 0 {
-                times[i] = times[i].min(t);
-            }
+        let t0 = Instant::now();
+        let streamed: Vec<_> = docs
+            .iter()
+            .map(|doc| {
+                index.shared_pass_reusing(doc, &mut pass);
+                index.edge_bindings_from_pass(doc, &requested, &pass)
+            })
+            .collect();
+        let t_streaming = t0.elapsed();
+        let t0 = Instant::now();
+        let oracle: Vec<_> = docs
+            .iter()
+            .map(|doc| index.evaluate_edge_bindings(doc, &requested))
+            .collect();
+        let t_dom = t0.elapsed();
+        assert_eq!(
+            streamed, oracle,
+            "the shared pass and the DOM oracle must produce identical edge bindings"
+        );
+        bindings = streamed
+            .iter()
+            .flatten()
+            .map(|(_, edge_bindings)| edge_bindings.len())
+            .sum();
+        if rep > 0 {
+            times[0] = times[0].min(t_streaming);
+            times[1] = times[1].min(t_dom);
         }
     }
     FrontStage1Comparison {
         streaming: times[0],
         dom: times[1],
-        matches_streaming: match_counts[0],
-        matches_dom: match_counts[1],
+        bindings,
     }
 }
 
@@ -284,20 +289,15 @@ pub struct ShardedRssRun {
     /// Stage-2 time) this is end-to-end wall time — the quantity sharding
     /// actually improves on a multi-core machine.
     pub wall_throughput: f64,
-    /// Total Stage-1 (parse + pattern-match + witness construction) work
-    /// summed across every shard *and* the front stage. In the replicated
-    /// topology every shard re-runs Stage 1 over every document, so this
-    /// grows roughly linearly with the shard count; in the hybrid topology
-    /// the front pool parses each document exactly once, so it stays flat.
+    /// Total Stage-1 (pattern-match + witness construction) work summed
+    /// across every shard. Every shard runs Stage 1 over every document for
+    /// its own patterns, so this grows with the shard count.
     pub parse_time: Duration,
     /// Total Stage-2 join work summed across the shards.
     pub join_time: Duration,
     /// Documents counted by the engine — `num_shards ×` the stream length
-    /// in the replicated topology (per-shard work), exactly the stream
-    /// length in the hybrid topology (parse-once).
+    /// (per-shard work).
     pub documents_processed: usize,
-    /// Pipeline stalls reported by the hybrid front (always 0 replicated).
-    pub pipeline_stalls: usize,
     /// Total matches produced.
     pub matches: usize,
     /// Sum of per-shard template counts (shared templates are replicated
@@ -306,15 +306,11 @@ pub struct ShardedRssRun {
 }
 
 /// Replay the Figure-16 RSS workload through a [`ShardedEngine`] with the
-/// given shard count, front-pool size (`0` = the replicated topology,
-/// `>= 1` = the hybrid parse-once topology) and inner mode, measuring
-/// wall-clock throughput and the Stage-1 / Stage-2 work split. The hybrid
-/// replay goes through [`ShardedEngine::process_batches`] so Stage 1 of
-/// batch `k+1` overlaps Stage 2 of batch `k`.
+/// given shard count and inner mode, measuring wall-clock throughput and
+/// the Stage-1 / Stage-2 work split.
 pub fn run_sharded_rss_benchmark(
     mode: ProcessingMode,
     num_shards: usize,
-    front_pool: usize,
     num_queries: usize,
     items: usize,
     batch: usize,
@@ -328,8 +324,7 @@ pub fn run_sharded_rss_benchmark(
         ..EngineConfig::default()
     }
     .with_retain_documents(false)
-    .with_num_shards(num_shards)
-    .with_front_pool(front_pool);
+    .with_num_shards(num_shards);
     let mut engine = ShardedEngine::new(config);
     for q in queries {
         engine
@@ -345,21 +340,11 @@ pub fn run_sharded_rss_benchmark(
     let num_docs = docs.len();
     let mut matches = 0usize;
     let start = std::time::Instant::now();
-    if front_pool > 0 {
-        let batches: Vec<Vec<Document>> = docs.chunks(batch.max(1)).map(<[_]>::to_vec).collect();
+    for chunk in docs.chunks(batch.max(1)) {
         matches += engine
-            .process_batches(batches)
-            .expect("batches process")
-            .iter()
-            .map(Vec::len)
-            .sum::<usize>();
-    } else {
-        for chunk in docs.chunks(batch.max(1)) {
-            matches += engine
-                .process_batch(chunk.to_vec())
-                .expect("batch processes")
-                .len();
-        }
+            .process_batch(chunk.to_vec())
+            .expect("batch processes")
+            .len();
     }
     let elapsed = start.elapsed().as_secs_f64();
     let stats = engine.stats().expect("shard workers are alive");
@@ -370,13 +355,10 @@ pub fn run_sharded_rss_benchmark(
             0.0
         },
         // Total Stage-1 work: pattern matching plus witness-relation
-        // construction. Replicated shards ingest what they each matched
-        // (`ingest`); the hybrid front routes pre-built batches, so its
-        // equivalent cost is already inside the front's `xpath` bucket.
+        // construction, summed over the shards.
         parse_time: stats.timings.xpath + stats.timings.ingest,
         join_time: stats.timings.stage2_join_time(),
         documents_processed: stats.documents_processed,
-        pipeline_stalls: stats.pipeline_stalls,
         matches,
         templates: stats.templates,
     }
@@ -588,39 +570,21 @@ mod tests {
     fn sharded_rss_benchmark_matches_single_engine_counts() {
         let single = run_rss_benchmark(ProcessingMode::Mmqjp, 30, 100, 50, 3);
         for shards in [1, 3] {
-            let sharded =
-                run_sharded_rss_benchmark(ProcessingMode::Mmqjp, shards, 0, 30, 100, 50, 3);
+            let sharded = run_sharded_rss_benchmark(ProcessingMode::Mmqjp, shards, 30, 100, 50, 3);
             assert_eq!(sharded.matches, single.matches, "{shards} shards");
             assert!(sharded.wall_throughput > 0.0);
             assert!(sharded.templates >= single.templates);
-            // Replicated accounting: every shard re-parses every document.
+            // Every shard runs Stage 1 over every document.
             assert_eq!(sharded.documents_processed, 100 * shards);
-            assert_eq!(sharded.pipeline_stalls, 0);
             assert!(sharded.parse_time > Duration::ZERO);
         }
     }
 
     #[test]
-    fn hybrid_rss_benchmark_parses_once_and_matches_replicated() {
-        let replicated = run_sharded_rss_benchmark(ProcessingMode::Mmqjp, 2, 0, 30, 100, 50, 3);
-        let hybrid = run_sharded_rss_benchmark(ProcessingMode::Mmqjp, 2, 2, 30, 100, 50, 3);
-        assert_eq!(hybrid.matches, replicated.matches);
-        assert!(hybrid.wall_throughput > 0.0);
-        // Parse-once accounting: each document is counted (and parsed)
-        // exactly once at the front, not once per shard.
-        assert_eq!(hybrid.documents_processed, 100);
-        assert_eq!(replicated.documents_processed, 200);
-        assert!(hybrid.parse_time > Duration::ZERO);
-        assert!(hybrid.join_time > Duration::ZERO);
-    }
-
-    #[test]
     fn front_stage1_comparison_outputs_agree() {
-        let cmp = run_front_stage1_comparison(ProcessingMode::Mmqjp, 30, 100, 50, 3);
-        // Byte-identical fronts ⇒ identical match counts; the fixed RSS
-        // workload joins fields with themselves, so joins actually fire.
-        assert_eq!(cmp.matches_streaming, cmp.matches_dom);
-        assert!(cmp.matches_streaming > 0, "workload must produce matches");
+        // The comparison itself asserts identical bindings per document.
+        let cmp = run_front_stage1_comparison(30, 100, 3);
+        assert!(cmp.bindings > 0, "workload must produce edge bindings");
         assert!(cmp.streaming > Duration::ZERO);
         assert!(cmp.dom > Duration::ZERO);
     }

@@ -24,8 +24,7 @@
 //!   retained timestamp.
 //! - **Stats identities** — documents are never counted more than the
 //!   document sequence assigned, and (sharded) the per-shard live-query
-//!   counts sum to the coordinator's total while hybrid shards never count
-//!   documents themselves.
+//!   counts sum to the coordinator's total.
 //!
 //! An audit never mutates the engine; a healthy engine returns an empty
 //! vector. Any violation indicates an engine bug (not a user error) — the
@@ -229,32 +228,6 @@ pub enum AuditViolation {
         /// The per-shard sum.
         summed: usize,
     },
-    /// A hybrid-topology shard counted documents itself (only the front
-    /// stage counts documents in hybrid mode).
-    HybridShardCountsDocuments {
-        /// The offending shard.
-        shard: usize,
-        /// Documents it counted.
-        documents: usize,
-    },
-    /// The front stage's mirrored subscription state (master index, edge
-    /// refcounts, requested-edge union or router table) disagrees with a
-    /// recount over the live query footprints.
-    FrontSubscription {
-        /// The pattern id involved (`u32::MAX` for pattern-independent
-        /// checks).
-        pattern: u32,
-        /// What is inconsistent.
-        reason: &'static str,
-    },
-    /// The front stage's single-block subscription list disagrees with the
-    /// live footprints.
-    FrontSinglesCount {
-        /// Entries in the front's single-block list.
-        listed: usize,
-        /// Live footprints with a single-block subscription.
-        expected: usize,
-    },
     /// The coordinator's retained-query ledger (kept for crash recovery)
     /// disagrees with the live-query count — a dead shard could not be
     /// rebuilt faithfully.
@@ -398,17 +371,6 @@ impl fmt::Display for AuditViolation {
             AuditViolation::QueriesPerShardSum { tracked, summed } => write!(
                 f,
                 "coordinator tracks {tracked} live queries but shards hold {summed}"
-            ),
-            AuditViolation::HybridShardCountsDocuments { shard, documents } => write!(
-                f,
-                "hybrid shard {shard} counted {documents} documents itself"
-            ),
-            AuditViolation::FrontSubscription { pattern, reason } => {
-                write!(f, "front subscription state (pattern {pattern}): {reason}")
-            }
-            AuditViolation::FrontSinglesCount { listed, expected } => write!(
-                f,
-                "front lists {listed} single-block subscriptions for {expected} live footprints"
             ),
             AuditViolation::RetainedQueryCount { retained, live } => write!(
                 f,

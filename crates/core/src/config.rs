@@ -47,7 +47,7 @@ pub enum FaultPolicy {
     FailFast,
     /// Self-healing: a poison document is skipped with a typed
     /// `QuarantineRecord` (the rest of its batch proceeds), and a dead shard
-    /// or front worker is respawned on the spot — surviving subscriptions
+    /// worker is respawned on the spot — surviving subscriptions
     /// are re-registered from the retained query registry and the shard's
     /// in-window join state is replayed from the bounded `ReplayLog`, so
     /// subsequent output is byte-identical to an engine that never failed.
@@ -133,15 +133,6 @@ pub struct EngineConfig {
     /// `0` is treated as `1`. Ignored by the single-threaded
     /// [`MmqjpEngine`](crate::MmqjpEngine).
     pub num_shards: usize,
-    /// Number of worker threads in the document-parallel Stage-1 front stage
-    /// of [`ShardedEngine`](crate::ShardedEngine). `0` (the default) keeps
-    /// the original replicated-document topology: every shard parses every
-    /// document itself. Any value `>= 1` switches the sharded engine to the
-    /// hybrid topology: documents are parsed and pattern-matched exactly
-    /// once by a pool of this many front workers, and only the resulting
-    /// witness rows are routed to the query shards that subscribed to them.
-    /// Ignored by the single-threaded [`MmqjpEngine`](crate::MmqjpEngine).
-    pub front_pool: usize,
     /// Verify every compiled physical plan against its source conjunctive
     /// query at registration time (schema/variable coverage, join-graph
     /// connectivity, the batch-restriction soundness precondition, …).
@@ -150,16 +141,6 @@ pub struct EngineConfig {
     /// [`RegistrationError`](crate::CoreError)s, so it defaults to on;
     /// disable it only for registration-throughput experiments.
     pub verify_plans: bool,
-    /// Evaluate Stage 1 through the shared streaming automaton: one
-    /// traversal per document evaluates the bottom-up pass of **every**
-    /// registered pattern (join blocks and single-block subscriptions
-    /// alike), instead of one matcher walk per distinct pattern. Match
-    /// output is byte-identical to the per-pattern DOM path, which stays
-    /// available as the fallback (`false`). Defaults to on; the environment
-    /// variable `MMQJP_STREAMING_FRONT` (`0`/`false`/`off` to disable)
-    /// overrides the default so CI can sweep both paths without code
-    /// changes.
-    pub streaming_front: bool,
     /// How worker death and poison input are handled (see [`FaultPolicy`]).
     /// The default, [`FaultPolicy::FailFast`], keeps the historical
     /// fail-the-batch / brick-the-shard behavior and costs nothing; the
@@ -167,19 +148,6 @@ pub struct EngineConfig {
     /// replay log in [`ShardedEngine`](crate::ShardedEngine) so dead shards
     /// can be rebuilt deterministically.
     pub fault_policy: FaultPolicy,
-}
-
-/// The process-wide default for
-/// [`streaming_front`](EngineConfig::streaming_front): on, unless the
-/// `MMQJP_STREAMING_FRONT` environment variable disables it.
-pub fn streaming_front_default() -> bool {
-    match std::env::var("MMQJP_STREAMING_FRONT") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "false" || v == "off" || v == "no")
-        }
-        Err(_) => true,
-    }
 }
 
 impl Default for EngineConfig {
@@ -194,9 +162,7 @@ impl Default for EngineConfig {
             purge_views_on_unregister: true,
             enforce_in_order: false,
             num_shards: 1,
-            front_pool: 0,
             verify_plans: true,
-            streaming_front: streaming_front_default(),
             fault_policy: FaultPolicy::FailFast,
         }
     }
@@ -270,24 +236,9 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for the document-parallel front pool used by
-    /// [`ShardedEngine`](crate::ShardedEngine). `0` keeps the replicated
-    /// topology; `>= 1` enables hybrid parse-once sharding with that many
-    /// Stage-1 workers.
-    pub fn with_front_pool(mut self, front_pool: usize) -> Self {
-        self.front_pool = front_pool;
-        self
-    }
-
     /// Builder-style setter for registration-time plan verification.
     pub fn with_verify_plans(mut self, verify: bool) -> Self {
         self.verify_plans = verify;
-        self
-    }
-
-    /// Builder-style setter for the streaming Stage-1 front end.
-    pub fn with_streaming_front(mut self, streaming: bool) -> Self {
-        self.streaming_front = streaming;
         self
     }
 
@@ -313,10 +264,7 @@ mod tests {
         assert_eq!(c.state_bucket_width, None);
         assert!(c.purge_views_on_unregister);
         assert_eq!(c.num_shards, 1);
-        assert_eq!(c.front_pool, 0);
         assert!(c.verify_plans);
-        // The default tracks the (possibly env-overridden) process default.
-        assert_eq!(c.streaming_front, streaming_front_default());
         assert_eq!(c.fault_policy, FaultPolicy::FailFast);
     }
 
@@ -340,9 +288,7 @@ mod tests {
             .with_state_bucket_width(Some(50))
             .with_purge_views_on_unregister(false)
             .with_num_shards(4)
-            .with_front_pool(2)
             .with_verify_plans(false)
-            .with_streaming_front(false)
             .with_fault_policy(FaultPolicy::Quarantine);
         assert_eq!(c.view_cache_capacity, Some(128));
         assert!(!c.retain_documents);
@@ -351,9 +297,7 @@ mod tests {
         assert_eq!(c.state_bucket_width, Some(50));
         assert!(!c.purge_views_on_unregister);
         assert_eq!(c.num_shards, 4);
-        assert_eq!(c.front_pool, 2);
         assert!(!c.verify_plans);
-        assert!(!c.streaming_front);
         assert_eq!(c.fault_policy, FaultPolicy::Quarantine);
     }
 

@@ -8,7 +8,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
 use crate::output::{construct_join_output, Binding, MatchOutput};
 use crate::registry::{QueryRuntime, Registration, Registry};
-use crate::relations::{rl_row, schemas, RoutedBatch, WitnessBatch};
+use crate::relations::{rl_row, schemas, WitnessBatch};
 use crate::state::{key_int, key_sym, JoinState};
 use crate::stats::{EngineStats, PhaseTimings};
 use crate::view_cache::ViewCache;
@@ -16,7 +16,7 @@ use mmqjp_relational::{
     ChunkedRows, ExecScratch, FxHashMap, PlanInput, Relation, RowRef, StringInterner, Symbol,
 };
 use mmqjp_xml::{DocId, Document, NodeId};
-use mmqjp_xpath::{PatternMatcher, SharedPass, TreePattern};
+use mmqjp_xpath::{EdgeBinding, PatternMatcher, SharedPass, TreePattern};
 use mmqjp_xscl::{JoinOp, QueryId, SelectClause, Side, XsclQuery};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -204,32 +204,17 @@ impl MmqjpEngine {
         }
         let t0 = Instant::now();
         let mut batch = WitnessBatch::new();
-        let requested = self.registry.requested_edges().clone();
         let mut pass = SharedPass::default();
+        // Replay re-derives join state only; the Stage-1 timings of the
+        // original run are not counted twice (the whole replay is recovery).
+        let mut timings = PhaseTimings::default();
         for doc in docs {
             self.next_doc_seq = self.next_doc_seq.max(doc.id().raw());
             self.newest_timestamp = self.newest_timestamp.max(doc.timestamp().raw());
-            let results = if self.config.streaming_front {
-                self.registry
-                    .pattern_index_mut()
-                    .shared_pass_reusing(doc, &mut pass);
-                self.registry
-                    .pattern_index()
-                    .edge_bindings_from_pass(doc, &requested, &pass)
-            } else {
-                self.registry
-                    .pattern_index_mut()
-                    .evaluate_edge_bindings(doc, &requested)
-            };
-            let with_patterns: Vec<(&TreePattern, Vec<mmqjp_xpath::EdgeBinding>)> = results
-                .into_iter()
-                .map(|(pid, bindings)| (self.registry.pattern_index().pattern(pid), bindings))
-                .collect();
-            batch.add_document(doc, &with_patterns, &self.interner)?;
+            self.stage1(doc, &mut pass, &mut batch, None, &mut timings)?;
         }
         let rows = batch.rbin_w.len() + batch.rdoc_w.len();
-        let meta: Vec<(DocId, u64)> = docs.iter().map(|d| (d.id(), d.timestamp().raw())).collect();
-        self.maintain_state(batch, &meta, docs, None)?;
+        self.maintain_state(batch, docs, None)?;
         self.stats.rows_replayed += rows;
         self.stats.timings.recovery += t0.elapsed();
         Ok(rows)
@@ -318,9 +303,6 @@ impl MmqjpEngine {
         let mut batch = WitnessBatch::new();
         let mut prepared_docs = Vec::with_capacity(docs.len());
         let mut single_block_outputs = Vec::new();
-        // Cloned once per batch: the registry cannot hand out a borrow while
-        // the pattern index is evaluated mutably below.
-        let requested = self.registry.requested_edges().clone();
         // Reused across the batch's documents so the shared automaton pass
         // stays allocation-free after the first document.
         let mut pass = SharedPass::default();
@@ -358,32 +340,13 @@ impl MmqjpEngine {
             doc.set_timestamp(mmqjp_xml::Timestamp(ts));
             self.newest_timestamp = self.newest_timestamp.max(ts);
 
-            // Single-block subscriptions are answered directly from Stage 1.
-            let results = if self.config.streaming_front {
-                // Streaming front end: one shared automaton pass over the
-                // document answers every registered pattern at once; both the
-                // single-block witnesses and the join edge bindings are then
-                // derived from the same satisfiability sets.
-                self.registry
-                    .pattern_index_mut()
-                    .shared_pass_reusing(&doc, &mut pass);
-                single_block_outputs.extend(self.match_single_blocks_from_pass(&doc, &pass));
-                self.registry
-                    .pattern_index()
-                    .edge_bindings_from_pass(&doc, &requested, &pass)
-            } else {
-                single_block_outputs.extend(self.match_single_block_queries(&doc));
-                self.registry
-                    .pattern_index_mut()
-                    .evaluate_edge_bindings(&doc, &requested)
-            };
-            let with_patterns: Vec<(&TreePattern, Vec<mmqjp_xpath::EdgeBinding>)> = results
-                .into_iter()
-                .map(|(pid, bindings)| (self.registry.pattern_index().pattern(pid), bindings))
-                .collect();
-            let t_ingest = Instant::now();
-            batch.add_document(&doc, &with_patterns, &self.interner)?;
-            timings.ingest += t_ingest.elapsed();
+            self.stage1(
+                &doc,
+                &mut pass,
+                &mut batch,
+                Some(&mut single_block_outputs),
+                &mut timings,
+            )?;
             prepared_docs.push(doc);
         }
         timings.xpath += t0.elapsed().saturating_sub(timings.ingest);
@@ -415,12 +378,8 @@ impl MmqjpEngine {
         }
 
         // ---- Maintenance (Algorithm 2 / 5) ---------------------------------
-        let meta: Vec<(DocId, u64)> = prepared_docs
-            .iter()
-            .map(|d| (d.id(), d.timestamp().raw()))
-            .collect();
         let t_maint = Instant::now();
-        let maintenance = self.maintain_state(batch, &meta, &prepared_docs, rbinw_index);
+        let maintenance = self.maintain_state(batch, &prepared_docs, rbinw_index);
         timings.maintenance += t_maint.elapsed();
         maintenance?;
 
@@ -430,58 +389,40 @@ impl MmqjpEngine {
         Ok(outputs)
     }
 
-    /// Process a witness batch routed by the hybrid
-    /// [`ShardedEngine`](crate::ShardedEngine) front stage.
-    ///
-    /// Stage 1 (parsing, pattern matching, witness construction and
-    /// single-block subscriptions) already happened exactly once at the
-    /// front; this entry point runs only Stage 2 and state maintenance over
-    /// the routed witness rows. The front stage owns document-id assignment
-    /// and in-order enforcement, so no ids are assigned and no order check
-    /// happens here — the local sequence/watermark are synced from the
-    /// routed metadata so mid-stream registrations get the same arrival
-    /// floor a single engine would assign. `documents_processed` is *not*
-    /// incremented (the front stage counts each document once, globally).
-    pub fn process_witness_batch(&mut self, routed: RoutedBatch) -> CoreResult<Vec<MatchOutput>> {
-        let RoutedBatch {
-            batch,
-            doc_meta,
-            docs,
-        } = routed;
-        if doc_meta.is_empty() {
-            return Ok(Vec::new());
+    /// Stage 1 for one stamped document: one shared automaton pass answers
+    /// every registered pattern, the join-side edge bindings it yields are
+    /// ingested into `batch`, and — when `singles` is given — the
+    /// single-block subscriptions are answered from the same pass. The only
+    /// Stage-1 implementation: batch processing and recovery replay both
+    /// run it. Witness-relation construction is timed into
+    /// `timings.ingest`; the caller owns the surrounding `xpath` interval.
+    fn stage1(
+        &mut self,
+        doc: &Document,
+        pass: &mut SharedPass,
+        batch: &mut WitnessBatch,
+        singles: Option<&mut Vec<MatchOutput>>,
+        timings: &mut PhaseTimings,
+    ) -> CoreResult<()> {
+        self.registry
+            .pattern_index_mut()
+            .shared_pass_reusing(doc, pass);
+        if let Some(singles) = singles {
+            self.match_single_blocks_from_pass(doc, pass, singles);
         }
-        let mut timings = PhaseTimings::default();
-        for &(doc, ts) in &doc_meta {
-            self.next_doc_seq = self.next_doc_seq.max(doc.raw());
-            self.newest_timestamp = self.newest_timestamp.max(ts);
-        }
-
-        let mut outputs = Vec::new();
-        let mut rbinw_index: Option<RbinwByDocnode> = None;
-        if self.registry.num_templates() > 0 && !batch.is_empty() {
-            let result_rows = self.evaluate_stage2(&batch, &mut rbinw_index, &mut timings)?;
-            let t_out = Instant::now();
-            for (rid, rows) in result_rows {
-                // `docs` is empty unless documents are retained; output
-                // document construction is gated on retention, so an empty
-                // slice is never consulted.
-                outputs.extend(self.produce_outputs(rid, &rows, &batch, &docs)?);
-            }
-            timings.output += t_out.elapsed();
-        }
-
-        let t_maint = Instant::now();
-        let maintenance = self.maintain_state(batch, &doc_meta, &docs, rbinw_index);
-        timings.maintenance += t_maint.elapsed();
-        maintenance?;
-
-        self.stats.results_emitted += outputs.len();
-        self.stats.timings += timings;
-        Ok(outputs)
+        let index = self.registry.pattern_index();
+        let with_patterns: Vec<(&TreePattern, Vec<EdgeBinding>)> = index
+            .edge_bindings_from_pass(doc, self.registry.requested_edges(), pass)
+            .into_iter()
+            .map(|(pid, bindings)| (index.pattern(pid), bindings))
+            .collect();
+        let t_ingest = Instant::now();
+        batch.add_document(doc, &with_patterns, &self.interner)?;
+        timings.ingest += t_ingest.elapsed();
+        Ok(())
     }
 
-    /// Stage-2 dispatch shared by the document and witness ingest paths.
+    /// Stage-2 dispatch over the configured processing mode.
     fn evaluate_stage2(
         &mut self,
         batch: &WitnessBatch,
@@ -543,16 +484,16 @@ impl MmqjpEngine {
         for row in rows.iter() {
             let (rid, d1, d2, nodes_offset) = if template_mode {
                 (
-                    row[0].as_int().unwrap_or(i64::MIN),
-                    row[1].as_int().unwrap_or(-1),
-                    row[2].as_int().unwrap_or(-1),
+                    result_int(row, 0, "qid")?,
+                    result_int(row, 1, "d1")?,
+                    result_int(row, 2, "d2")?,
                     3usize,
                 )
             } else {
                 (
                     rid_override,
-                    row[0].as_int().unwrap_or(-1),
-                    row[1].as_int().unwrap_or(-1),
+                    result_int(row, 0, "d1")?,
+                    result_int(row, 1, "d2")?,
                     2usize,
                 )
             };
@@ -624,12 +565,11 @@ impl MmqjpEngine {
 
         let mut bindings = Vec::with_capacity(num_vars);
         for i in 0..num_vars {
-            let node = row[nodes_offset + i].as_int().unwrap_or(0) as u32;
             let doc = if i < num_left { d1 } else { d2 };
             bindings.push(Binding {
                 variable: registration.assignment[i].clone(),
                 doc,
-                node: NodeId::from_raw(node),
+                node: result_node(row, nodes_offset + i)?,
             });
         }
 
@@ -685,20 +625,20 @@ impl MmqjpEngine {
         // Root binding of a side: the binding of the template-side root
         // position when that position corresponds to the query's pattern
         // root, otherwise the document root.
-        let side_root = |side: Side, pattern: &TreePattern| -> NodeId {
+        let side_root = |side: Side, pattern: &TreePattern| -> CoreResult<NodeId> {
             let pos = match side {
                 Side::Left => 0,
                 Side::Right => template.num_left(),
             };
             let root_var = pattern.root().variable().unwrap_or("");
             if registration.assignment[pos] == root_var {
-                NodeId::from_raw(row[nodes_offset + pos].as_int().unwrap_or(0) as u32)
+                result_node(row, nodes_offset + pos)
             } else {
-                NodeId::ROOT
+                Ok(NodeId::ROOT)
             }
         };
-        let prev_root = side_root(Side::Left, &registration.prev_pattern);
-        let cur_root = side_root(Side::Right, &registration.cur_pattern);
+        let prev_root = side_root(Side::Left, &registration.prev_pattern)?;
+        let cur_root = side_root(Side::Right, &registration.cur_pattern)?;
 
         // The output puts the query's left block first.
         let out = if registration.swapped {
@@ -709,27 +649,16 @@ impl MmqjpEngine {
         Ok(Some(out))
     }
 
-    /// Answer single-block subscriptions directly from the pattern matcher.
-    fn match_single_block_queries(&self, doc: &Document) -> Vec<MatchOutput> {
-        let mut outputs = Vec::new();
-        for q in self.registry.queries() {
-            let Some(pattern) = &q.single_pattern else {
-                continue;
-            };
-            let matcher = PatternMatcher::new(pattern);
-            self.push_single_block_outputs(q, doc, matcher.witnesses(doc), &mut outputs);
-        }
-        outputs
-    }
-
-    /// Streaming-front variant of [`match_single_block_queries`]: the
-    /// satisfiability and usefulness passes were already run by the shared
-    /// automaton, so each subscription only replays witness enumeration over
-    /// its own (already pruned) useful sets.
-    ///
-    /// [`match_single_block_queries`]: MmqjpEngine::match_single_block_queries
-    fn match_single_blocks_from_pass(&self, doc: &Document, pass: &SharedPass) -> Vec<MatchOutput> {
-        let mut outputs = Vec::new();
+    /// Answer single-block subscriptions from a shared automaton pass: the
+    /// pass already ran satisfiability and usefulness pruning, so each
+    /// subscription only replays witness enumeration over its own useful
+    /// sets.
+    fn match_single_blocks_from_pass(
+        &self,
+        doc: &Document,
+        pass: &SharedPass,
+        outputs: &mut Vec<MatchOutput>,
+    ) {
         for q in self.registry.queries() {
             let (Some(pattern), Some(pid)) = (&q.single_pattern, q.single_pid) else {
                 continue;
@@ -741,46 +670,30 @@ impl MmqjpEngine {
                 continue;
             }
             let matcher = PatternMatcher::new(pattern);
-            self.push_single_block_outputs(
-                q,
-                doc,
-                matcher.witnesses_from_useful(doc, useful),
-                &mut outputs,
-            );
-        }
-        outputs
-    }
-
-    fn push_single_block_outputs(
-        &self,
-        q: &QueryRuntime,
-        doc: &Document,
-        witnesses: Vec<mmqjp_xpath::Witness>,
-        outputs: &mut Vec<MatchOutput>,
-    ) {
-        for w in witnesses {
-            let bindings = w
-                .bindings()
-                .iter()
-                .map(|(v, n)| Binding {
-                    variable: v.clone(),
-                    doc: doc.id(),
-                    node: *n,
-                })
-                .collect();
-            let document = if self.config.retain_documents && q.select == SelectClause::Star {
-                Some(doc.clone())
-            } else {
-                None
-            };
-            outputs.push(MatchOutput {
-                query: q.id,
-                publish: q.publish.clone(),
-                left_doc: doc.id(),
-                right_doc: doc.id(),
-                bindings,
-                document,
-            });
+            for w in matcher.witnesses_from_useful(doc, useful) {
+                let bindings = w
+                    .bindings()
+                    .iter()
+                    .map(|(v, n)| Binding {
+                        variable: v.clone(),
+                        doc: doc.id(),
+                        node: *n,
+                    })
+                    .collect();
+                let document = if self.config.retain_documents && q.select == SelectClause::Star {
+                    Some(doc.clone())
+                } else {
+                    None
+                };
+                outputs.push(MatchOutput {
+                    query: q.id,
+                    publish: q.publish.clone(),
+                    left_doc: doc.id(),
+                    right_doc: doc.id(),
+                    bindings,
+                    document,
+                });
+            }
         }
     }
 
@@ -791,7 +704,6 @@ impl MmqjpEngine {
     fn maintain_state(
         &mut self,
         batch: WitnessBatch,
-        meta: &[(DocId, u64)],
         docs: &[Document],
         rbinw_index: Option<RbinwByDocnode>,
     ) -> CoreResult<()> {
@@ -842,7 +754,7 @@ impl MmqjpEngine {
         // The batch is consumed here: its witness rows move whole into the
         // segmented store, no per-row field copies.
         self.state
-            .absorb_routed(batch, meta, docs, self.config.retain_documents)?;
+            .absorb(batch, docs, self.config.retain_documents)?;
 
         // Window expiry: drop whole buckets that no registered window can
         // reach — O(expired rows), no index rebuild — and invalidate exactly
@@ -1170,6 +1082,31 @@ fn compute_rl_rr(
     }
     timings.compute_rr += t_rr.elapsed();
     Ok((rl, rr, rbinw_by_docnode))
+}
+
+/// An integer column of a Stage-2 result row. The compiled plans project
+/// result rows from integer witness columns, so any other value means a
+/// corrupt row; it is reported as such instead of being read as a default,
+/// which would silently drop the match or bind the wrong document.
+fn result_int(row: RowRef<'_>, col: usize, column: &'static str) -> CoreResult<i64> {
+    row[col].as_int().ok_or_else(|| CoreError::CorruptStateRow {
+        relation: "result",
+        column,
+        value: format!("{:?}", row[col]),
+    })
+}
+
+/// A node-id column of a Stage-2 result row (see [`result_int`]); a value
+/// outside the `u32` node-id range is corrupt too, never truncated.
+fn result_node(row: RowRef<'_>, col: usize) -> CoreResult<NodeId> {
+    let raw = result_int(row, col, "node")?;
+    u32::try_from(raw)
+        .map(NodeId::from_raw)
+        .map_err(|_| CoreError::CorruptStateRow {
+            relation: "result",
+            column: "node",
+            value: raw.to_string(),
+        })
 }
 
 /// The smaller of two optional bounds; `None` only when both are absent.
@@ -1842,6 +1779,66 @@ mod tests {
             let twin_match = out.iter().find(|o| o.query == twin).unwrap();
             assert_eq!(twin_match.left_doc, DocId(3));
         }
+    }
+
+    #[test]
+    fn malformed_result_rows_are_corrupt_state_errors() {
+        use mmqjp_relational::{Schema, Value};
+        let mut e = engine(EngineConfig::mmqjp());
+        e.process_document(d1()).unwrap();
+        // The current batch holds d2 as document 2; its ledger row is all
+        // the temporal filter needs.
+        let d2 = d2().with_id(DocId(2));
+        let mut batch = WitnessBatch::new();
+        batch.add_document(&d2, &[], e.interner()).unwrap();
+        let registration = &e.registry().query(QueryId(0)).unwrap().registrations[0];
+        let num_vars = e
+            .registry()
+            .template_runtime(registration.template)
+            .unwrap()
+            .template
+            .num_meta_vars();
+        // A template result row: qid, d1, d2, one node per meta-variable, wl.
+        let good: Vec<Value> = [registration.rid, 1, 2]
+            .into_iter()
+            .chain(std::iter::repeat(0).take(num_vars + 1))
+            .map(Value::Int)
+            .collect();
+        let rows_of = |row: Vec<Value>| {
+            let mut rows = Relation::new(Schema::new((0..row.len()).map(|i| format!("c{i}"))));
+            rows.push_values(row).unwrap();
+            rows
+        };
+        let docs = [d2.clone()];
+        let out = e
+            .produce_outputs(-1, &rows_of(good.clone()), &batch, &docs)
+            .unwrap();
+        assert_eq!(out.len(), 1, "the well-formed row is a match");
+
+        for (col, column) in [(0, "qid"), (1, "d1"), (2, "d2"), (3, "node")] {
+            let mut row = good.clone();
+            row[col] = Value::Null;
+            let err = e
+                .produce_outputs(-1, &rows_of(row), &batch, &docs)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::CorruptStateRow { relation: "result", column: c, .. } if c == column
+                ),
+                "column {col}: {err:?}"
+            );
+        }
+        // A node id outside the u32 range is corrupt, not truncated.
+        let mut row = good;
+        row[3] = Value::Int(i64::from(u32::MAX) + 1);
+        let err = e
+            .produce_outputs(-1, &rows_of(row), &batch, &docs)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::CorruptStateRow { column: "node", .. }
+        ));
     }
 
     #[test]

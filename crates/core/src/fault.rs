@@ -41,13 +41,6 @@ pub enum FaultKind {
         /// Index of the shard whose reply is dropped.
         shard: usize,
     },
-    /// Panic the given front (parse) worker while it parses its slice of
-    /// this batch. Only meaningful in the hybrid topology; ignored when
-    /// `front_pool == 0`.
-    PanicFront {
-        /// Index of the front worker to kill.
-        worker: usize,
-    },
     /// Corrupt the serialized bytes of the given document before parsing.
     /// Applied by the harness (which owns the raw bytes) via
     /// [`corrupt_bytes`]; the engine itself never sees this kind.
@@ -86,9 +79,8 @@ impl FaultPlan {
 
     /// Derive a pseudo-random plan from `seed`, scheduling roughly one fault
     /// every few batches across `batches` steps for an engine with
-    /// `num_shards` shards and `front_pool` front workers. The same
-    /// arguments always yield the same plan.
-    pub fn seeded(seed: u64, batches: u64, num_shards: usize, front_pool: usize) -> Self {
+    /// `num_shards` shards. The same arguments always yield the same plan.
+    pub fn seeded(seed: u64, batches: u64, num_shards: usize) -> Self {
         let mut rng = SplitMix64::new(seed);
         let mut plan = Self::default();
         let shards = num_shards.max(1) as u64;
@@ -104,9 +96,6 @@ impl FaultPlan {
                 },
                 1 => FaultKind::DropResponse {
                     shard: (rng.next() % shards) as usize,
-                },
-                2 if front_pool > 0 => FaultKind::PanicFront {
-                    worker: (rng.next() % front_pool as u64) as usize,
                 },
                 3 => FaultKind::CorruptDocument {
                     doc_index: (rng.next() % 4) as usize,
@@ -268,16 +257,18 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic() {
-        let a = FaultPlan::seeded(42, 20, 4, 2);
-        let b = FaultPlan::seeded(42, 20, 4, 2);
+        let a = FaultPlan::seeded(42, 20, 4);
+        let b = FaultPlan::seeded(42, 20, 4);
         assert_eq!(a, b);
-        let c = FaultPlan::seeded(43, 20, 4, 2);
+        let c = FaultPlan::seeded(43, 20, 4);
         assert_ne!(a, c, "different seeds should differ (w.h.p.)");
-        // No front faults when there is no front pool.
-        let d = FaultPlan::seeded(42, 64, 4, 0);
+        // Shard-directed faults only ever address existing shards.
+        let d = FaultPlan::seeded(42, 64, 4);
         for batch in 0..64 {
             for fault in d.faults_at(batch) {
-                assert!(!matches!(fault, FaultKind::PanicFront { .. }));
+                if let FaultKind::PanicShard { shard } | FaultKind::DropResponse { shard } = fault {
+                    assert!(*shard < 4);
+                }
             }
         }
     }

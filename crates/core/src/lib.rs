@@ -11,9 +11,12 @@
 //! all of them using the paper's two-stage architecture:
 //!
 //! 1. **Stage 1 (XPath Evaluator, `mmqjp-xpath`)** evaluates the tree-pattern
-//!    components of all registered queries once per document and emits
-//!    witnesses, stored in the binary witness relations `RbinW`, `RdocW`,
-//!    `RdocTSW` (current document) and `Rbin`, `Rdoc`, `RdocTS` (join state).
+//!    components of all registered queries in one shared automaton pass per
+//!    document and emits witnesses, stored in the binary witness relations
+//!    `RbinW`, `RdocW`, `RdocTSW` (current document) and `Rbin`, `Rdoc`,
+//!    `RdocTS` (join state). The same pass answers single-block
+//!    subscriptions. The per-pattern DOM matcher of `mmqjp-xpath` is kept
+//!    only as the test oracle for this pass.
 //! 2. **Stage 2 (Join Processor, this crate)** evaluates all value-join
 //!    components *per query template* rather than per query: queries with
 //!    isomorphic reduced join graphs share one relational conjunctive query
@@ -30,13 +33,8 @@
 //! population across `N` independent engine shards on worker threads and
 //! merges the per-shard matches into a deterministic, canonically-ordered
 //! result — identical to a single engine's output for every shard count and
-//! inner mode. Two topologies are available: the replicated topology sends
-//! every document batch to every shard (each shard re-runs Stage 1), while
-//! the hybrid topology (`EngineConfig::front_pool >= 1`) parses and
-//! pattern-matches each document exactly once in a document-parallel front
-//! stage and routes only the witness rows ([`RoutedBatch`]) to the shards
-//! that subscribed to them, pipelining Stage 1 of batch `k+1` with Stage 2
-//! of batch `k`.
+//! inner mode. Every document batch is replicated to every shard, and each
+//! shard runs Stage 1 over it for its own patterns.
 //!
 //! # Quick start
 //!
@@ -99,8 +97,8 @@ pub use fault::{corrupt_bytes, FaultInjector, FaultKind, FaultPlan, QuarantineRe
 pub use output::{sort_matches, Binding, MatchOutput};
 pub use recovery::ReplayLog;
 pub use registry::{QueryRuntime, Registry, TemplateRuntime};
-pub use relations::{schemas, RoutedBatch, WitnessBatch};
-pub use shard::{ShardedEngine, WitnessRouter};
+pub use relations::{schemas, WitnessBatch};
+pub use shard::ShardedEngine;
 pub use stats::{EngineStats, PhaseTimings};
 pub use view_cache::{ViewCache, ViewCacheStats};
 

@@ -200,29 +200,6 @@ impl Default for WitnessBatch {
     }
 }
 
-/// A witness batch routed to one query shard by the hybrid
-/// [`ShardedEngine`](crate::ShardedEngine) front stage, together with the
-/// batch metadata the shard needs to run Stage 2 without re-parsing the
-/// documents.
-///
-/// The witness rows in [`batch`](Self::batch) are the shard's
-/// subscription-filtered subset of the front stage's Stage-1 output; the
-/// ledger rows (`RdocTSW`) cover *every* document of the batch, because each
-/// shard tracks all document timestamps for temporal filtering. Consumed by
-/// [`MmqjpEngine::process_witness_batch`](crate::MmqjpEngine::process_witness_batch).
-#[derive(Debug, Clone, Default)]
-pub struct RoutedBatch {
-    /// The routed witness rows.
-    pub batch: WitnessBatch,
-    /// `(document id, timestamp)` of every document of the batch, in
-    /// arrival order. Ids and timestamps were assigned by the front stage.
-    pub doc_meta: Vec<(DocId, u64)>,
-    /// The full documents, shipped only when the shard retains documents
-    /// (`EngineConfig::retain_documents`) for `SELECT *` output
-    /// construction; empty otherwise.
-    pub docs: Vec<Document>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

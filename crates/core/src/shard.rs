@@ -1,65 +1,41 @@
-//! Multi-core processing through query-population sharding, with an
-//! optional document-parallel Stage-1 front stage.
+//! Multi-core processing through query-population sharding.
 //!
 //! The paper's Join Processor is a single-threaded component; its evaluation
 //! is inherently shareable across queries but not, by itself, across cores.
-//! [`ShardedEngine`] scales it out along two axes:
-//!
-//! **Replicated topology** (`front_pool == 0`, the original): the *query
-//! population* is hash-partitioned across `N` independent [`MmqjpEngine`]
-//! shards and the *document stream* is replicated to all of them. Each shard
-//! runs on a long-lived worker thread, owns its own registry, join state and
-//! view cache, and evaluates its query subset in the configured
+//! [`ShardedEngine`] scales it out by hash-partitioning the *query
+//! population* across `N` independent [`MmqjpEngine`] shards and replicating
+//! the *document stream* to all of them. Each shard runs on a long-lived
+//! worker thread, owns its own registry, join state and view cache, and
+//! evaluates its query subset in the configured
 //! [`ProcessingMode`](crate::ProcessingMode) — a shard is just a smaller
 //! engine, so sharding composes with Sequential, MMQJP and MMQJP+VM alike.
-//! Parse + Stage-1 cost multiplies with the shard count, because every shard
-//! re-runs Stage 1 over every document.
-//!
-//! **Hybrid topology** (`front_pool >= 1`): a pool of Stage-1 *front
-//! workers* parses and pattern-matches each document exactly once
-//! (documents of a batch are range-partitioned across the pool), and a
-//! [`WitnessRouter`] delivers the resulting witness rows to precisely the
-//! shards whose queries subscribed to them. Shards run Stage 2 only, over
-//! routed rows ([`RoutedBatch`]) — whole documents are shipped to shards
-//! only when `retain_documents` requires them for `SELECT *` output
-//! construction. Under [`process_batches`](ShardedEngine::process_batches)
-//! the two stages are pipelined with an in-flight depth of one: the front
-//! parses batch `k+1` while the shards join batch `k`.
+//! Every shard runs the shared Stage-1 automaton pass over every document,
+//! restricted to its own queries' patterns, so the per-document pass is
+//! repeated once per shard.
 //!
 //! ```text
-//!   replicated (front_pool = 0)         hybrid (front_pool >= 1)
-//!
-//!   docs ─▶ fan-out (clone/shard)       docs ─▶ front pool: parse once,
-//!             │     │     │                     Stage 1 + single-blocks
-//!             ▼     ▼     ▼                        │ witness rows
-//!          ┌─────┐┌─────┐┌─────┐                   ▼
-//!   qid ──▶│shard││shard││shard│             WitnessRouter
-//!   hash   │ S1+ ││ S1+ ││ S1+ │           (per-shard subscription filter)
-//!          │ S2  ││ S2  ││ S2  │              │     │     │
-//!          └──┬──┘└──┬──┘└──┬──┘              ▼     ▼     ▼
-//!             ▼     ▼     ▼                ┌─────┐┌─────┐┌─────┐
-//!          canonical merge          qid ──▶│shard││shard││shard│
-//!                                   hash   │ S2  ││ S2  ││ S2  │  Stage 2
-//!                                          └──┬──┘└──┬──┘└──┬──┘  only
-//!                                             ▼     ▼     ▼
-//!                                          canonical merge
+//!   docs ─▶ fan-out (one clone per shard)
+//!             │       │       │
+//!             ▼       ▼       ▼
+//!          ┌─────┐ ┌─────┐ ┌─────┐
+//!   qid ──▶│shard│ │shard│ │shard│   Stage 1: shared automaton pass
+//!   hash   │ S1  │ │ S1  │ │ S1  │   over the shard's own patterns
+//!          │ S2  │ │ S2  │ │ S2  │   Stage 2: the shard's templates
+//!          └──┬──┘ └──┬──┘ └──┬──┘
+//!             ▼       ▼       ▼
+//!          canonical merge (sort_matches)
 //! ```
 //!
 //! # Determinism
 //!
-//! In the replicated topology every shard sees the full document stream in
-//! arrival order, so the shards assign identical document ids and timestamps
-//! and each query produces exactly the matches it would produce in a single
-//! engine. In the hybrid topology the front stage owns id/timestamp
-//! assignment and routes each shard exactly the witness rows that shard
-//! would have derived itself (the same canonical variables, interned through
-//! the shared interner, filtered to the shard's requested edges) — so Stage 2
-//! is fed byte-equal inputs either way. The merged batch output is sorted
-//! into the canonical `(query, left_doc, right_doc, bindings)` order (see
+//! Every shard sees the full document stream in arrival order, so the
+//! shards assign identical document ids and timestamps and each query
+//! produces exactly the matches it would produce in a single engine. The
+//! merged batch output is sorted into the canonical
+//! `(query, left_doc, right_doc, bindings)` order (see
 //! [`sort_matches`](crate::sort_matches)), which makes the result
-//! independent of topology, shard count and thread interleaving: a
-//! `ShardedEngine` with any `N` and any front-pool size returns exactly a
-//! canonically-sorted single-engine batch.
+//! independent of shard count and thread interleaving: a `ShardedEngine`
+//! with any `N` returns exactly a canonically-sorted single-engine batch.
 //!
 //! # Thread-safety audit
 //!
@@ -75,36 +51,27 @@ use crate::config::{EngineConfig, FaultPolicy};
 use crate::engine::MmqjpEngine;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, FaultKind, QuarantineRecord, WorkerFault};
-use crate::output::{sort_matches, Binding, MatchOutput};
+use crate::output::{sort_matches, MatchOutput};
 use crate::recovery::{self, ReplayLog, RetainedQuery};
-use crate::relations::{RoutedBatch, WitnessBatch};
 use crate::stats::EngineStats;
 use mmqjp_relational::StringInterner;
 use mmqjp_xml::{DocId, Document, Timestamp};
-use mmqjp_xpath::{
-    EdgeBinding, PatternId, PatternIndex, PatternMatcher, PatternNodeId, SharedPass, TreePattern,
-};
-use mmqjp_xscl::{QueryId, SelectClause, XsclQuery};
+use mmqjp_xscl::{QueryId, XsclQuery};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
-
-/// A structural pattern edge, identified by its endpoint pattern nodes.
-type Edge = (PatternNodeId, PatternNodeId);
+use std::time::Instant;
 
 /// A request sent to a shard worker thread. Every request carries a reply
 /// channel; the worker answers each request exactly once, in order.
 enum Request {
-    /// Register a query under the given engine-global id. The reply carries
-    /// the query's Stage-1 footprint so the hybrid front stage can mirror
-    /// the subscription.
+    /// Register a query under the given engine-global id.
     Register {
         query: Box<XsclQuery>,
         global: QueryId,
-        reply: Sender<CoreResult<Box<ShardFootprint>>>,
+        reply: Sender<CoreResult<()>>,
     },
     /// Unregister the query registered under the given engine-global id.
     Unregister {
@@ -112,21 +79,11 @@ enum Request {
         reply: Sender<CoreResult<()>>,
     },
     /// Process a document batch and return the shard's matches, with query
-    /// ids already translated back to engine-global ids (replicated
-    /// topology: the shard runs Stage 1 itself).
+    /// ids already translated back to engine-global ids.
     Batch {
         docs: Vec<Document>,
         /// Injected fault to deliver while serving this request (chaos
         /// harness only; always `None` in production).
-        fault: Option<WorkerFault>,
-        reply: Sender<CoreResult<Vec<MatchOutput>>>,
-    },
-    /// Process a routed witness batch (hybrid topology: Stage 1 already
-    /// happened at the front) and return the shard's matches with
-    /// engine-global query ids.
-    Witness {
-        routed: Box<RoutedBatch>,
-        /// Injected fault to deliver while serving this request.
         fault: Option<WorkerFault>,
         reply: Sender<CoreResult<Vec<MatchOutput>>>,
     },
@@ -137,17 +94,8 @@ enum Request {
     Audit { reply: Sender<Vec<AuditViolation>> },
 }
 
-/// The Stage-1 footprint of one registered query, reported by its owning
-/// shard so the front stage can subscribe the shard to exactly the witness
-/// rows the query needs.
-struct ShardFootprint {
-    /// Join-side patterns with their requested structural edges (one `prev`
-    /// and one `cur` entry per registered orientation).
-    patterns: Vec<(TreePattern, Vec<Edge>)>,
-    /// Single-block subscription (pattern, publish target, select clause) —
-    /// answered entirely at the front stage in hybrid mode.
-    single: Option<(TreePattern, Option<String>, SelectClause)>,
-}
+/// The pending reply of one shard to one batch.
+type BatchReply = Receiver<CoreResult<Vec<MatchOutput>>>;
 
 /// One shard: the channel into its worker thread and the join handle.
 struct Shard {
@@ -155,330 +103,8 @@ struct Shard {
     handle: Option<JoinHandle<()>>,
 }
 
-// ------------------------------------------------------------------------
-// Witness routing (hybrid front stage)
-// ------------------------------------------------------------------------
-
-/// Routes Stage-1 witness rows to the query shards whose subscriptions
-/// requested them.
-///
-/// Subscriptions are tracked per `(pattern, shard)` as refcounted edge sets
-/// (the edge list preserves first-subscription order, mirroring the order
-/// `Registry::requested_edges` would build on a replicated shard). Routing
-/// one document appends to every shard's [`WitnessBatch`]: all shards get
-/// the document's retention-ledger row (each shard tracks every timestamp
-/// for temporal filtering), while the pattern bindings are filtered per
-/// shard to exactly the edges it subscribed to — so a shard's batch holds
-/// the same witness rows it would have derived by re-running Stage 1 over
-/// its own requested-edge set.
-///
-/// The router is exported so the routing invariant can be exercised
-/// directly by property tests: rows of a pattern edge travel to precisely
-/// its subscribing shards (no broadcast), an edge with a single subscriber
-/// lands on exactly one shard, and the union across shards restricted to
-/// the subscribed edge sets reproduces the single-engine witness multiset.
-#[derive(Debug, Clone, Default)]
-pub struct WitnessRouter {
-    subs: HashMap<PatternId, BTreeMap<usize, EdgeSubs>>,
-}
-
-/// One shard's refcounted edge subscriptions for one pattern.
-#[derive(Debug, Clone, Default)]
-struct EdgeSubs {
-    /// Subscribed edges in first-subscription order.
-    list: Vec<Edge>,
-    refs: HashMap<Edge, usize>,
-}
-
-impl WitnessRouter {
-    /// An empty router: no shard subscribes to anything.
-    pub fn new() -> Self {
-        WitnessRouter::default()
-    }
-
-    /// `true` when no shard subscribes to any pattern.
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
-    }
-
-    /// Subscribe `shard` to the given structural edges of `pattern`.
-    /// Subscriptions are refcounted per `(shard, pattern, edge)`, so
-    /// several queries of one shard can request overlapping edge sets.
-    pub fn subscribe(&mut self, shard: usize, pattern: PatternId, edges: &[Edge]) {
-        let subs = self
-            .subs
-            .entry(pattern)
-            .or_default()
-            .entry(shard)
-            .or_default();
-        for &edge in edges {
-            let count = subs.refs.entry(edge).or_insert(0);
-            if *count == 0 {
-                subs.list.push(edge);
-            }
-            *count += 1;
-        }
-    }
-
-    /// Release one subscription previously made with
-    /// [`subscribe`](Self::subscribe). Edges whose last reference departs
-    /// stop being routed; a pattern with no subscribing shard left is
-    /// dropped from the routing table entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Internal`] when the `(shard, pattern, edge)`
-    /// subscription does not exist — unbalanced release calls are a
-    /// bookkeeping bug, not a runtime condition.
-    pub fn unsubscribe(
-        &mut self,
-        shard: usize,
-        pattern: PatternId,
-        edges: &[Edge],
-    ) -> CoreResult<()> {
-        let shards = self.subs.get_mut(&pattern).ok_or(CoreError::internal(
-            "unsubscribe of a pattern with no subscriptions",
-        ))?;
-        let subs = shards.get_mut(&shard).ok_or(CoreError::internal(
-            "unsubscribe of a shard that never subscribed",
-        ))?;
-        for edge in edges {
-            let count = subs.refs.get_mut(edge).ok_or(CoreError::internal(
-                "unsubscribe of an edge that was never subscribed",
-            ))?;
-            *count -= 1;
-            if *count == 0 {
-                subs.refs.remove(edge);
-                subs.list.retain(|e| e != edge);
-            }
-        }
-        if subs.refs.is_empty() {
-            shards.remove(&shard);
-        }
-        if shards.is_empty() {
-            self.subs.remove(&pattern);
-        }
-        Ok(())
-    }
-
-    /// The shards subscribed to a pattern, in ascending shard order.
-    pub fn subscribers(&self, pattern: PatternId) -> Vec<usize> {
-        self.subs
-            .get(&pattern)
-            .map(|shards| shards.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Route one document's Stage-1 output into per-shard witness batches
-    /// (one batch slot per shard, `batches.len()` == shard count). Every
-    /// batch receives the document's ledger row; witness rows go only to
-    /// subscribing shards. Returns the number of witness rows appended
-    /// across all batches (the routing fan-out of this document).
-    pub fn route_document(
-        &self,
-        doc: &Document,
-        bindings: &[(PatternId, Vec<EdgeBinding>)],
-        index: &PatternIndex,
-        interner: &Arc<StringInterner>,
-        batches: &mut [WitnessBatch],
-    ) -> CoreResult<usize> {
-        let before: usize = batches.iter().map(WitnessBatch::num_witness_rows).sum();
-        let mut per_shard: Vec<Vec<(&TreePattern, Vec<EdgeBinding>)>> =
-            (0..batches.len()).map(|_| Vec::new()).collect();
-        for (pid, edge_bindings) in bindings {
-            let Some(shards) = self.subs.get(pid) else {
-                continue;
-            };
-            let pattern = index.pattern(*pid);
-            // Resolve each binding's pattern edge once; the per-shard loop
-            // below only consults the precomputed edge.
-            let edges: Vec<Edge> = edge_bindings
-                .iter()
-                .map(|b| binding_edge(pattern, b))
-                .collect::<CoreResult<_>>()?;
-            for (&shard, subs) in shards {
-                let filtered: Vec<EdgeBinding> = edge_bindings
-                    .iter()
-                    .zip(&edges)
-                    .filter(|(_, edge)| subs.refs.contains_key(edge))
-                    .map(|(b, _)| b.clone())
-                    .collect();
-                if !filtered.is_empty() {
-                    per_shard[shard].push((pattern, filtered));
-                }
-            }
-        }
-        for (batch, patterns) in batches.iter_mut().zip(&per_shard) {
-            batch.add_document(doc, patterns, interner)?;
-        }
-        let after: usize = batches.iter().map(WitnessBatch::num_witness_rows).sum();
-        Ok(after - before)
-    }
-}
-
-/// The pattern edge a Stage-1 binding instantiates, recovered from its
-/// variable names (edge bindings carry the canonical variables of their
-/// pattern, which map back to unique pattern nodes).
-fn binding_edge(pattern: &TreePattern, binding: &EdgeBinding) -> CoreResult<Edge> {
-    Ok((
-        pattern.variable_node(&binding.ancestor_var).map_err(|_| {
-            CoreError::internal("edge binding ancestor variable exists in its pattern")
-        })?,
-        pattern
-            .variable_node(&binding.descendant_var)
-            .map_err(|_| {
-                CoreError::internal("edge binding descendant variable exists in its pattern")
-            })?,
-    ))
-}
-
-// ------------------------------------------------------------------------
-// Front stage (hybrid topology)
-// ------------------------------------------------------------------------
-
-/// A request to a Stage-1 front worker.
-enum FrontRequest {
-    /// Replace the worker's snapshot of the Stage-1 state. Sent after every
-    /// subscription change; churn is rare relative to batches, so a
-    /// full-clone broadcast keeps the per-document hot path lock-free.
-    Sync {
-        index: Box<PatternIndex>,
-        requested: HashMap<PatternId, Vec<Edge>>,
-        singles: Vec<FrontSingle>,
-        reply: Sender<()>,
-    },
-    /// Parse a run of documents (ids and timestamps already assigned by the
-    /// coordinator) and return their Stage-1 output.
-    Parse {
-        docs: Vec<Document>,
-        /// Injected fault to deliver while serving this request.
-        fault: Option<WorkerFault>,
-        reply: Sender<ParsedChunk>,
-    },
-}
-
-/// A single-block subscription evaluated at the front stage (its matches
-/// never involve Stage 2, so in hybrid mode they are answered where the
-/// document is parsed).
-#[derive(Debug, Clone)]
-struct FrontSingle {
-    global: QueryId,
-    pattern: TreePattern,
-    publish: Option<String>,
-    select: SelectClause,
-}
-
-/// One front worker's Stage-1 output for its slice of a batch.
-struct ParsedChunk {
-    docs: Vec<ParsedDoc>,
-    /// Wall-clock time this worker spent on the slice (summed across the
-    /// pool into the front's `timings.xpath` — total parse work, not
-    /// elapsed time).
-    elapsed: Duration,
-}
-
-/// Stage-1 output for one document.
-struct ParsedDoc {
-    doc: Document,
-    bindings: Vec<(PatternId, Vec<EdgeBinding>)>,
-    singles: Vec<MatchOutput>,
-}
-
-/// One front worker: the channel into its thread and the join handle.
-#[derive(Debug)]
-struct FrontWorker {
-    sender: Option<Sender<FrontRequest>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Per registered query: what the coordinator must release from the front
-/// stage when the query unregisters.
-#[derive(Debug)]
-struct FrontFootprint {
-    shard: usize,
-    patterns: Vec<(PatternId, Vec<Edge>)>,
-    single: bool,
-}
-
-/// The document-parallel Stage-1 front stage of the hybrid topology.
-#[derive(Debug)]
-struct FrontStage {
-    workers: Vec<FrontWorker>,
-    /// Master pattern index: the union of every shard's join-side patterns,
-    /// refcounted per registration exactly like a `Registry`'s own index.
-    index: PatternIndex,
-    /// Global requested-edge union per pattern, in first-request order.
-    requested: HashMap<PatternId, Vec<Edge>>,
-    /// Refcounts behind [`requested`](Self::requested).
-    edge_refs: HashMap<PatternId, HashMap<Edge, usize>>,
-    router: WitnessRouter,
-    /// Single-block subscriptions in ascending global-id order (the order a
-    /// single engine evaluates them in).
-    singles: Vec<FrontSingle>,
-    footprints: HashMap<u64, FrontFootprint>,
-    /// Front-stage statistics: `documents_processed` / `docs_parsed_once`
-    /// (each document exactly once), `witnesses_routed`, `pipeline_stalls`,
-    /// `results_emitted` (single-block matches) and `timings.xpath` (total
-    /// Stage-1 work). All Stage-2 fields stay zero.
-    stats: EngineStats,
-    /// The global document sequence; in hybrid mode ids are assigned here,
-    /// not in the shards.
-    next_doc_seq: u64,
-    /// Newest timestamp seen; in-order enforcement happens here, before
-    /// anything is dispatched.
-    newest_timestamp: u64,
-}
-
-/// The front stage's Stage-1 product for one batch, ready for dispatch.
-struct StagedBatch {
-    shard_batches: Vec<WitnessBatch>,
-    doc_meta: Vec<(DocId, u64)>,
-    /// The prepared documents — retained for shipping only when
-    /// `retain_documents` is on, empty otherwise.
-    docs: Vec<Document>,
-    /// The front's single-block matches for this batch.
-    singles: Vec<MatchOutput>,
-    /// Replay-log entry (all stamped survivors); `None` under
-    /// [`FaultPolicy::FailFast`].
-    log_entry: Option<Vec<Document>>,
-    /// Stream position before this batch was screened.
-    position: (u64, u64),
-}
-
-/// One batch in flight at the shards.
-struct InFlight {
-    /// Per-shard reply channels, tagged with the shard index (under
-    /// [`FaultPolicy::Degrade`] dead shards are skipped, so the indices are
-    /// not necessarily contiguous).
-    responses: Vec<(usize, Receiver<CoreResult<Vec<MatchOutput>>>)>,
-    singles: Vec<MatchOutput>,
-    /// The batch's stamped survivor documents — the replay-log entry,
-    /// committed once collection completes (dispatched ⇒ eventually
-    /// logged). Doubles as the replicated heal-retry payload. `None` under
-    /// [`FaultPolicy::FailFast`] (no log is kept).
-    log_entry: Option<Vec<Document>>,
-    /// Hybrid heal-retry payloads, one slot per shard, populated only under
-    /// [`FaultPolicy::Quarantine`]; each slot is taken at most once.
-    retry_routed: Option<Vec<Option<RoutedBatch>>>,
-    /// The stream position (documents ingested, newest timestamp) *before*
-    /// this batch was screened — the position a healed shard must be
-    /// rebuilt at, because the replay log does not yet contain this batch.
-    position: (u64, u64),
-}
-
-/// Snapshot of the coordinator state mutated by Stage 1 of one batch; used
-/// by the pipelined `process_batches` to undo a staged batch that the
-/// previous batch's failure kept from ever being dispatched.
-#[derive(Debug, Clone, Copy)]
-struct Stage1Checkpoint {
-    seq: u64,
-    newest: u64,
-    front_stats: EngineStats,
-    quarantined: usize,
-    docs_quarantined: usize,
-}
-
-/// How Stage-1 screening treats a poison (out-of-order) document.
+/// How the coordinator's batch screening treats a poison (out-of-order)
+/// document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PoisonHandling {
     /// Historical [`FaultPolicy::FailFast`] semantics: the poison document
@@ -488,10 +114,9 @@ enum PoisonHandling {
     /// consuming a sequence number, so survivors get exactly the ids a
     /// fresh engine fed only survivors would assign.
     Quarantine,
-    /// [`FaultPolicy::Degrade`] in the replicated topology: fail the batch
-    /// atomically (no sequence numbers consumed, no dispatch), keeping the
-    /// coordinator's watermark mirror in lockstep with shards that never
-    /// saw the batch.
+    /// [`FaultPolicy::Degrade`]: fail the batch atomically (no sequence
+    /// numbers consumed, no dispatch), keeping the coordinator's watermark
+    /// mirror in lockstep with shards that never saw the batch.
     Atomic,
 }
 
@@ -500,19 +125,15 @@ enum PoisonHandling {
 /// canonically-ordered match stream.
 ///
 /// The API mirrors [`MmqjpEngine`]: register queries, then feed documents or
-/// batches. [`EngineConfig::num_shards`] selects the shard count and
-/// [`EngineConfig::front_pool`] the topology — `0` replicates every document
-/// batch to every shard, `>= 1` parses each document once in a
-/// document-parallel front stage and routes witness rows to subscribing
-/// shards. Every other config knob applies to each shard individually.
+/// batches. [`EngineConfig::num_shards`] selects the shard count; every
+/// other config knob applies to each shard individually. Every document
+/// batch is replicated to every shard.
 ///
 /// ```
 /// use mmqjp_core::{EngineConfig, ShardedEngine};
 /// use mmqjp_xml::rss;
 ///
-/// // Hybrid topology: 2 front workers parse once, 4 shards join.
-/// let mut engine = ShardedEngine::new(
-///     EngineConfig::default().with_num_shards(4).with_front_pool(2));
+/// let mut engine = ShardedEngine::new(EngineConfig::default().with_num_shards(4));
 /// engine.register_query_text(
 ///     "S//book->x1[.//author->x2][.//title->x3] \
 ///      FOLLOWED BY{x2=x5 AND x3=x6, 100} \
@@ -523,29 +144,27 @@ enum PoisonHandling {
 /// let d2 = rss::blog_article("Danny Ayers", "http://...", "RSS", "Books", "...");
 /// assert!(engine.process_document(d1).unwrap().is_empty());
 /// assert_eq!(engine.process_document(d2).unwrap().len(), 1);
-/// assert_eq!(engine.front_stats().docs_parsed_once, 2);
+/// // Each of the four shards ran Stage 1 over both documents.
+/// assert_eq!(engine.stats().unwrap().documents_processed, 2 * 4);
 /// ```
 #[derive(Debug)]
 pub struct ShardedEngine {
     config: EngineConfig,
     interner: Arc<StringInterner>,
     shards: Vec<Shard>,
-    front: Option<FrontStage>,
     queries_per_shard: Vec<usize>,
     next_query: u64,
     live_queries: usize,
-    /// Replicated-topology mirror of every shard's document sequence.
-    /// Maintained only when `fault_policy != FailFast`: the coordinator then
-    /// screens and stamps batches itself (shards restamp identically), so it
-    /// always knows the stream position a dead shard must be rebuilt at. In
-    /// the hybrid topology the front stage owns these watermarks instead.
+    /// Mirror of every shard's document sequence. Maintained only when
+    /// `fault_policy != FailFast`: the coordinator then screens and stamps
+    /// batches itself (shards restamp identically), so it always knows the
+    /// stream position a dead shard must be rebuilt at.
     mirror_seq: u64,
-    /// Replicated-topology mirror of the newest timestamp; see
-    /// [`mirror_seq`](Self::mirror_seq).
+    /// Mirror of the newest timestamp; see [`mirror_seq`](Self::mirror_seq).
     mirror_newest: u64,
     /// Batches ingested so far — the index fault plans and quarantine
-    /// records are keyed by. Counts every `process_batch` call (and every
-    /// batch of a `process_batches` call), empty or not.
+    /// records are keyed by. Counts every `process_batch` call, empty or
+    /// not.
     batches_ingested: u64,
     /// Live subscriptions retained for recovery, keyed by global query id
     /// (ascending = original registration order). Empty under
@@ -575,9 +194,7 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Create a sharded engine with [`EngineConfig::num_shards`] shards
     /// (a count of `0` is treated as `1`), each running the configured
-    /// processing mode on its own worker thread. With
-    /// [`EngineConfig::front_pool`]` >= 1`, additionally spawns that many
-    /// Stage-1 front workers and switches to the hybrid topology.
+    /// processing mode on its own worker thread.
     pub fn new(config: EngineConfig) -> Self {
         let num_shards = config.num_shards.max(1);
         let interner = Arc::new(StringInterner::new());
@@ -589,32 +206,10 @@ impl ShardedEngine {
                     .expect("spawning a shard worker thread succeeds")
             })
             .collect();
-        let front = (config.front_pool > 0).then(|| {
-            let workers = (0..config.front_pool)
-                .map(|i| {
-                    spawn_front_worker(i, config.retain_documents, config.streaming_front)
-                        // lint:allow one-time startup; a failed spawn leaves no engine to return
-                        .expect("spawning a front worker thread succeeds")
-                })
-                .collect();
-            FrontStage {
-                workers,
-                index: PatternIndex::default(),
-                requested: HashMap::new(),
-                edge_refs: HashMap::new(),
-                router: WitnessRouter::new(),
-                singles: Vec::new(),
-                footprints: HashMap::new(),
-                stats: EngineStats::default(),
-                next_doc_seq: 0,
-                newest_timestamp: 0,
-            }
-        });
         ShardedEngine {
             config,
             interner,
             shards,
-            front,
             queries_per_shard: vec![0; num_shards],
             next_query: 0,
             live_queries: 0,
@@ -641,11 +236,6 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// The number of Stage-1 front workers (`0` in the replicated topology).
-    pub fn front_pool(&self) -> usize {
-        self.front.as_ref().map_or(0, |f| f.workers.len())
-    }
-
     /// Total number of live registered queries across all shards.
     pub fn num_queries(&self) -> usize {
         self.live_queries
@@ -670,12 +260,6 @@ impl ShardedEngine {
     /// The shard a query id is assigned to.
     pub fn shard_of(&self, id: QueryId) -> usize {
         shard_of(id, self.shards.len())
-    }
-
-    /// The hybrid front stage's witness router, if the hybrid topology is
-    /// enabled. Exposes the live subscription table for inspection.
-    pub fn witness_router(&self) -> Option<&WitnessRouter> {
-        self.front.as_ref().map(|f| &f.router)
     }
 
     /// Register a query from its textual XSCL form. Returns the query id.
@@ -705,7 +289,7 @@ impl ShardedEngine {
                 reply,
             },
         )?;
-        let footprint = response
+        response
             .recv()
             .map_err(|_| CoreError::ShardUnavailable { shard })??;
         // Failed registrations consume no id, matching the single engine.
@@ -715,9 +299,6 @@ impl ShardedEngine {
         if let Some(retained) = retain {
             self.retained.insert(global.raw(), retained);
             self.refresh_retention();
-        }
-        if self.front.is_some() {
-            self.front_subscribe(shard, global, *footprint)?;
         }
         Ok(global)
     }
@@ -740,9 +321,6 @@ impl ShardedEngine {
         if self.retained.remove(&id.raw()).is_some() {
             self.refresh_retention();
         }
-        if self.front.is_some() {
-            self.front_unsubscribe(id)?;
-        }
         Ok(())
     }
 
@@ -753,36 +331,19 @@ impl ShardedEngine {
 
     /// Process a batch of documents in arrival order.
     ///
-    /// Replicated topology: the batch is fanned out to every shard (each
-    /// shard maintains the full join state for its query subset). Hybrid
-    /// topology: the front pool runs Stage 1 once and the shards receive
-    /// routed witness rows. Either way the per-shard matches are collected
-    /// and merged into the canonical `(query, left_doc, right_doc,
-    /// bindings)` order. The batched-evaluation trade-off of
+    /// The batch is fanned out to every live shard before any reply is
+    /// collected, so the shards process it concurrently; each shard keeps
+    /// the full join state for its query subset. The per-shard matches are
+    /// merged into the canonical `(query, left_doc, right_doc, bindings)`
+    /// order. The batched-evaluation trade-off of
     /// [`MmqjpEngine::process_batch`] applies unchanged.
     pub fn process_batch(&mut self, docs: Vec<Document>) -> CoreResult<Vec<MatchOutput>> {
         let batch_index = self.begin_batch();
         if docs.is_empty() {
             return Ok(Vec::new());
         }
-        if self.front.is_some() {
-            let staged = self.front_stage1(docs, batch_index)?;
-            let in_flight = self.dispatch_routed(staged)?;
-            return self.collect_shard_outputs(in_flight, false);
-        }
-        self.process_batch_replicated(docs, batch_index)
-    }
-
-    /// Replicated-topology batch processing: screen (when a recovering fault
-    /// policy is active), then fan the batch out to all live shards before
-    /// collecting any reply so the shards process it concurrently.
-    fn process_batch_replicated(
-        &mut self,
-        docs: Vec<Document>,
-        batch_index: u64,
-    ) -> CoreResult<Vec<MatchOutput>> {
         let policy = self.config.fault_policy;
-        let position = (self.mirror_seq, self.mirror_newest);
+        let position = self.stream_position();
         // Under a recovering policy the coordinator screens and stamps the
         // batch itself: shards then see only clean survivors (restamping
         // them identically), and the stamped batch is what the replay log
@@ -840,123 +401,7 @@ impl ShardedEngine {
             )?;
             responses.push((shard, response));
         }
-        self.collect_shard_outputs(
-            InFlight {
-                responses,
-                singles: Vec::new(),
-                log_entry,
-                retry_routed: None,
-                position,
-            },
-            false,
-        )
-    }
-
-    /// Process a sequence of batches, returning each batch's canonical
-    /// matches in order. Equivalent to calling
-    /// [`process_batch`](Self::process_batch) per batch — same outputs,
-    /// same state — but in the hybrid topology the stages are pipelined
-    /// with an in-flight depth of one: the front pool parses batch `k+1`
-    /// while the shards join batch `k`. Batches whose Stage-1 output was
-    /// ready before the shards finished the previous batch are counted in
-    /// [`EngineStats::pipeline_stalls`] (the front waited on Stage 2).
-    ///
-    /// On error the failing batch's [`CoreError`] is returned and the
-    /// outputs of earlier batches in the same call are discarded; the
-    /// shards stay drained and synchronized, so processing can continue
-    /// with the next batch, exactly like the single engine after a rejected
-    /// batch.
-    pub fn process_batches(
-        &mut self,
-        batches: Vec<Vec<Document>>,
-    ) -> CoreResult<Vec<Vec<MatchOutput>>> {
-        if self.front.is_none() {
-            return batches
-                .into_iter()
-                .map(|batch| self.process_batch(batch))
-                .collect();
-        }
-        let mut results = Vec::with_capacity(batches.len());
-        let mut in_flight: Option<InFlight> = None;
-        for batch in batches {
-            let batch_index = self.begin_batch();
-            if batch.is_empty() {
-                // Nothing to parse or dispatch; settle the pipeline so the
-                // empty result lands at the right position.
-                if let Some(prev) = in_flight.take() {
-                    results.push(self.collect_shard_outputs(prev, false)?);
-                }
-                results.push(Vec::new());
-                continue;
-            }
-            // Checkpoint the front's Stage-1 side effects: if collecting the
-            // *previous* batch fails below, the staged batch is dropped
-            // undispatched and must leave no trace, or the document sequence
-            // would drift ahead of what the shards (and a single engine fed
-            // the same stream) ever saw.
-            let checkpoint = self.checkpoint_stage1();
-            let staged = match self.front_stage1(batch, batch_index) {
-                Ok(staged) => staged,
-                Err(e) => {
-                    // Drain the in-flight batch before propagating, keeping
-                    // the shards synchronized for the next call.
-                    if let Some(prev) = in_flight.take() {
-                        let _ = self.collect_shard_outputs(prev, false);
-                    }
-                    return Err(e);
-                }
-            };
-            if let Some(prev) = in_flight.take() {
-                match self.collect_shard_outputs(prev, true) {
-                    Ok(outputs) => results.push(outputs),
-                    Err(e) => {
-                        self.rollback_stage1(checkpoint);
-                        return Err(e);
-                    }
-                }
-            }
-            in_flight = Some(self.dispatch_routed(staged)?);
-        }
-        if let Some(prev) = in_flight.take() {
-            results.push(self.collect_shard_outputs(prev, false)?);
-        }
-        Ok(results)
-    }
-
-    /// Snapshot every piece of coordinator state `front_stage1` mutates, so
-    /// a staged-but-never-dispatched batch can be undone. Worker threads
-    /// hold no per-batch state (parsing is snapshot-pure), so restoring
-    /// these fields is a complete rollback.
-    fn checkpoint_stage1(&self) -> Stage1Checkpoint {
-        let (seq, newest, stats) = match &self.front {
-            Some(front) => (front.next_doc_seq, front.newest_timestamp, front.stats),
-            None => (self.mirror_seq, self.mirror_newest, EngineStats::default()),
-        };
-        Stage1Checkpoint {
-            seq,
-            newest,
-            front_stats: stats,
-            quarantined: self.quarantine.len(),
-            docs_quarantined: self.supervisor_stats.docs_quarantined,
-        }
-    }
-
-    /// Undo the Stage-1 side effects of a staged batch that was never
-    /// dispatched (see [`checkpoint_stage1`](Self::checkpoint_stage1)).
-    fn rollback_stage1(&mut self, checkpoint: Stage1Checkpoint) {
-        match self.front.as_mut() {
-            Some(front) => {
-                front.next_doc_seq = checkpoint.seq;
-                front.newest_timestamp = checkpoint.newest;
-                front.stats = checkpoint.front_stats;
-            }
-            None => {
-                self.mirror_seq = checkpoint.seq;
-                self.mirror_newest = checkpoint.newest;
-            }
-        }
-        self.quarantine.truncate(checkpoint.quarantined);
-        self.supervisor_stats.docs_quarantined = checkpoint.docs_quarantined;
+        self.collect_shard_outputs(responses, log_entry, position)
     }
 
     // ------------------------------------------------------------------
@@ -965,10 +410,10 @@ impl ShardedEngine {
 
     /// Install a deterministic fault injector. Each subsequent batch asks
     /// the injector for its scheduled faults ([`FaultKind`]) and delivers
-    /// the worker-directed ones (panic a shard, drop a reply, panic a front
-    /// worker) while serving that batch. Document-content faults are the
-    /// chaos harness's job — it owns the input stream and must mutate the
-    /// reference stream identically — so the engine ignores them.
+    /// the worker-directed ones (panic a shard, drop a reply) while serving
+    /// that batch. Document-content faults are the chaos harness's job — it
+    /// owns the input stream and must mutate the reference stream
+    /// identically — so the engine ignores them.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
     }
@@ -1061,48 +506,29 @@ impl ShardedEngine {
 
     /// Heal a shard that died while serving the in-flight batch: respawn it
     /// at the pre-batch stream position (the replay log does not contain
-    /// the in-flight batch yet), then re-serve it this batch's payload —
+    /// the in-flight batch yet), then re-serve it this batch's documents —
     /// fault-free — and return its matches. The rebuilt state plus the
     /// retried batch leave the shard byte-identical to one that never died.
     fn heal_shard(
         &mut self,
         shard: usize,
-        log_entry: &Option<Vec<Document>>,
-        retry_routed: &mut Option<Vec<Option<RoutedBatch>>>,
+        log_entry: Option<&Vec<Document>>,
         position: (u64, u64),
     ) -> CoreResult<Vec<MatchOutput>> {
         let t0 = Instant::now();
         self.respawn_shard_at(shard, position.0, position.1)?;
+        let docs = log_entry
+            .cloned()
+            .ok_or(CoreError::ShardUnavailable { shard })?;
         let (reply, response) = channel();
-        match retry_routed.as_mut() {
-            Some(per_shard) => {
-                let routed = per_shard
-                    .get_mut(shard)
-                    .and_then(Option::take)
-                    .ok_or(CoreError::ShardUnavailable { shard })?;
-                self.send(
-                    shard,
-                    Request::Witness {
-                        routed: Box::new(routed),
-                        fault: None,
-                        reply,
-                    },
-                )?;
-            }
-            None => {
-                let docs = log_entry
-                    .clone()
-                    .ok_or(CoreError::ShardUnavailable { shard })?;
-                self.send(
-                    shard,
-                    Request::Batch {
-                        docs,
-                        fault: None,
-                        reply,
-                    },
-                )?;
-            }
-        }
+        self.send(
+            shard,
+            Request::Batch {
+                docs,
+                fault: None,
+                reply,
+            },
+        )?;
         let outputs = response
             .recv()
             .map_err(|_| CoreError::ShardUnavailable { shard })?;
@@ -1138,26 +564,10 @@ impl ShardedEngine {
         Some(fault)
     }
 
-    /// Drain the pending worker fault aimed at front worker `worker` for
-    /// the current batch, if any.
-    fn worker_fault_for_front(&mut self, worker: usize) -> Option<WorkerFault> {
-        let position = self
-            .pending_faults
-            .iter()
-            .position(|f| matches!(f, FaultKind::PanicFront { worker: w } if *w == worker))?;
-        self.pending_faults.swap_remove(position);
-        self.supervisor_stats.faults_injected += 1;
-        Some(WorkerFault::Panic)
-    }
-
     /// The global stream position: documents ingested and the newest
-    /// timestamp. Owned by the front stage in the hybrid topology and by
-    /// the coordinator's mirror in the replicated one.
+    /// timestamp, as mirrored by the coordinator.
     fn stream_position(&self) -> (u64, u64) {
-        match &self.front {
-            Some(front) => (front.next_doc_seq, front.newest_timestamp),
-            None => (self.mirror_seq, self.mirror_newest),
-        }
+        (self.mirror_seq, self.mirror_newest)
     }
 
     /// Recompute the cached replay-log retention bound from the retained
@@ -1170,31 +580,26 @@ impl ShardedEngine {
     }
 
     /// Aggregate statistics: the field-wise sum of every shard's
-    /// [`EngineStats`], plus the front stage's own stats in the hybrid
-    /// topology (see the `Sum` impl on [`EngineStats`] for the exact
-    /// semantics — notably `documents_processed` counts per-shard work in
-    /// the replicated topology, so it is `num_shards ×` the number of
-    /// ingested documents there, while the hybrid front counts each
-    /// document exactly once), plus the coordinator's own failure-model
+    /// [`EngineStats`] (see the `Sum` impl on [`EngineStats`] for the exact
+    /// semantics — notably `documents_processed` counts per-shard work, so
+    /// it is `num_shards ×` the number of ingested documents), plus the
+    /// coordinator's own failure-model
     /// counters (`docs_quarantined`, `shards_respawned`, `faults_injected`
     /// and recovery timings). Errors with [`CoreError::ShardUnavailable`]
     /// if a shard worker is gone — except under [`FaultPolicy::Degrade`],
     /// where dead shards contribute zeroes (their state died with them).
     pub fn stats(&self) -> CoreResult<EngineStats> {
         let mut total: EngineStats = self.shard_stats()?.into_iter().sum();
-        if let Some(front) = &self.front {
-            total += front.stats;
-        }
         total += self.supervisor_stats;
         Ok(total)
     }
 
-    /// The hybrid front stage's statistics: `docs_parsed_once`,
-    /// `witnesses_routed`, `pipeline_stalls`, single-block
-    /// `results_emitted` and Stage-1 `timings.xpath`. All-zero in the
-    /// replicated topology (which has no front stage).
+    /// Statistics of a Stage-1 front stage ahead of the shards. The engine
+    /// has none — every shard runs its own Stage 1 — so this is always
+    /// all-zero. It is kept so callers that add it to the shard sum keep
+    /// compiling and get the same totals.
     pub fn front_stats(&self) -> EngineStats {
-        self.front.as_ref().map(|f| f.stats).unwrap_or_default()
+        EngineStats::default()
     }
 
     /// Per-shard statistics snapshots, by shard index. Under
@@ -1225,16 +630,13 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Run a full invariant audit across the topology: every shard engine's
+    /// Run a full invariant audit across the engine: every shard engine's
     /// own [`MmqjpEngine::audit`] (violations come back wrapped in
-    /// [`AuditViolation::Shard`]), the coordinator's per-shard query
-    /// accounting, and — in the hybrid topology — the front stage's mirrored
-    /// subscription state (master pattern index, global requested-edge
-    /// union, witness-router table and single-block list), each recomputed
-    /// from the live query footprints. When a recovering fault policy is
-    /// active, additionally checks the recovery machinery itself: the
-    /// retained-query ledger tracks every live query and the replay log
-    /// stays within its retention bound. Read-only; a healthy engine
+    /// [`AuditViolation::Shard`]) and the coordinator's per-shard query
+    /// accounting. When a recovering fault policy is active, additionally
+    /// checks the recovery machinery itself: the retained-query ledger
+    /// tracks every live query and the replay log stays within its
+    /// retention bound. Read-only; a healthy engine
     /// returns an empty vector. Errors with [`CoreError::ShardUnavailable`]
     /// if a shard worker is gone — except under [`FaultPolicy::Degrade`],
     /// where dead shards are skipped (they have no state left to audit).
@@ -1291,156 +693,7 @@ impl ShardedEngine {
             }
         }
 
-        if let Some(front) = &self.front {
-            // Hybrid shards never count documents themselves; the front
-            // stage counts each exactly once.
-            for (shard, stats) in self.shard_stats()?.into_iter().enumerate() {
-                if stats.documents_processed != 0 {
-                    out.push(AuditViolation::HybridShardCountsDocuments {
-                        shard,
-                        documents: stats.documents_processed,
-                    });
-                }
-            }
-            self.audit_front(front, &mut out);
-        }
         Ok(out)
-    }
-
-    /// Recompute the front stage's expected subscription state from its live
-    /// query footprints and compare it against the maintained mirrors.
-    fn audit_front(&self, front: &FrontStage, out: &mut Vec<AuditViolation>) {
-        if front.footprints.len() != self.live_queries {
-            out.push(AuditViolation::FrontSubscription {
-                pattern: u32::MAX,
-                reason: "footprint count differs from the live queries",
-            });
-        }
-
-        // One recount pass over the footprints: master-index refcounts, the
-        // global edge union, per-shard router subscriptions and singles.
-        let mut pattern_expected: HashMap<PatternId, usize> = HashMap::new();
-        let mut edge_expected: HashMap<PatternId, HashMap<Edge, usize>> = HashMap::new();
-        let mut router_expected: HashMap<PatternId, BTreeMap<usize, HashMap<Edge, usize>>> =
-            HashMap::new();
-        let mut singles_expected = 0usize;
-        for footprint in front.footprints.values() {
-            if footprint.single {
-                singles_expected += 1;
-            }
-            for (pid, edges) in &footprint.patterns {
-                *pattern_expected.entry(*pid).or_insert(0) += 1;
-                let per_edge = edge_expected.entry(*pid).or_default();
-                let per_shard = router_expected
-                    .entry(*pid)
-                    .or_default()
-                    .entry(footprint.shard)
-                    .or_default();
-                for edge in edges {
-                    *per_edge.entry(*edge).or_insert(0) += 1;
-                    *per_shard.entry(*edge).or_insert(0) += 1;
-                }
-            }
-        }
-
-        // Master pattern index, both directions.
-        let indexed: HashMap<PatternId, usize> = front
-            .index
-            .patterns()
-            .map(|(pid, _)| (pid, front.index.refcount(pid)))
-            .collect();
-        for (&pid, &refs) in &indexed {
-            let expected = pattern_expected.get(&pid).copied().unwrap_or(0);
-            if refs != expected {
-                out.push(AuditViolation::PatternRefcount {
-                    pattern: pid.raw(),
-                    index_refs: refs,
-                    expected,
-                });
-            }
-        }
-        for (&pid, &expected) in &pattern_expected {
-            if !indexed.contains_key(&pid) {
-                out.push(AuditViolation::PatternRefcount {
-                    pattern: pid.raw(),
-                    index_refs: 0,
-                    expected,
-                });
-            }
-        }
-
-        // Global requested-edge union and its refcounts.
-        crate::registry::audit_edge_tables(&edge_expected, &front.edge_refs, &front.requested, out);
-
-        // Router table: per (pattern, shard), the refcounted edge set and
-        // its first-subscription-order list mirror the footprints.
-        let all_pids: std::collections::BTreeSet<PatternId> = router_expected
-            .keys()
-            .chain(front.router.subs.keys())
-            .copied()
-            .collect();
-        for pid in all_pids {
-            let want = router_expected.get(&pid);
-            let have = front.router.subs.get(&pid);
-            let shards: std::collections::BTreeSet<usize> = want
-                .into_iter()
-                .flat_map(BTreeMap::keys)
-                .chain(have.into_iter().flat_map(BTreeMap::keys))
-                .copied()
-                .collect();
-            for shard in shards {
-                let want_edges = want.and_then(|m| m.get(&shard));
-                let have_subs = have.and_then(|m| m.get(&shard));
-                let want_total: usize = want_edges.map_or(0, |m| m.values().sum());
-                let have_total: usize = have_subs.map_or(0, |s| s.refs.values().sum());
-                let refs_match = match (want_edges, have_subs) {
-                    (None, None) => true,
-                    (Some(w), Some(s)) => *w == s.refs,
-                    _ => want_total == 0 && have_total == 0,
-                };
-                if !refs_match {
-                    out.push(AuditViolation::FrontSubscription {
-                        pattern: pid.raw(),
-                        reason: "router edge refcounts differ from the live footprints",
-                    });
-                }
-                if let Some(subs) = have_subs {
-                    let mut seen = std::collections::HashSet::new();
-                    if !subs.list.iter().all(|e| seen.insert(*e)) {
-                        out.push(AuditViolation::FrontSubscription {
-                            pattern: pid.raw(),
-                            reason: "duplicate edge in a router subscription list",
-                        });
-                    }
-                    if seen != subs.refs.keys().copied().collect() {
-                        out.push(AuditViolation::FrontSubscription {
-                            pattern: pid.raw(),
-                            reason: "router subscription list does not mirror its refcounts",
-                        });
-                    }
-                }
-            }
-        }
-
-        // Single-block subscriptions: count and membership.
-        if front.singles.len() != singles_expected {
-            out.push(AuditViolation::FrontSinglesCount {
-                listed: front.singles.len(),
-                expected: singles_expected,
-            });
-        }
-        for single in &front.singles {
-            let covered = front
-                .footprints
-                .get(&single.global.raw())
-                .is_some_and(|f| f.single);
-            if !covered {
-                out.push(AuditViolation::FrontSubscription {
-                    pattern: u32::MAX,
-                    reason: "front single-block entry has no live footprint",
-                });
-            }
-        }
     }
 
     fn send(&self, shard: usize, request: Request) -> CoreResult<()> {
@@ -1452,410 +705,34 @@ impl ShardedEngine {
             .map_err(|_| CoreError::ShardUnavailable { shard })
     }
 
-    // ----------------------------------------------------------------
-    // Hybrid topology internals
-    // ----------------------------------------------------------------
-
-    /// Mirror a freshly registered query's Stage-1 footprint into the front
-    /// stage: merge its patterns into the master index and the global
-    /// requested-edge union, subscribe its shard in the router, take over
-    /// its single-block subscription, and re-sync the front workers.
-    fn front_subscribe(
-        &mut self,
-        shard: usize,
-        global: QueryId,
-        footprint: ShardFootprint,
-    ) -> CoreResult<()> {
-        let front = self
-            .front
-            .as_mut()
-            .ok_or(CoreError::internal("hybrid topology is enabled"))?;
-        let mut resolved = Vec::with_capacity(footprint.patterns.len());
-        for (pattern, edges) in footprint.patterns {
-            let pid = front.index.register(pattern);
-            let refs = front.edge_refs.entry(pid).or_default();
-            let list = front.requested.entry(pid).or_default();
-            for &edge in &edges {
-                let count = refs.entry(edge).or_insert(0);
-                if *count == 0 {
-                    list.push(edge);
-                }
-                *count += 1;
-            }
-            front.router.subscribe(shard, pid, &edges);
-            resolved.push((pid, edges));
-        }
-        let single = footprint.single.is_some();
-        if let Some((pattern, publish, select)) = footprint.single {
-            // Global ids are assigned in ascending order and never reused,
-            // so pushing keeps the list in single-engine evaluation order.
-            front.singles.push(FrontSingle {
-                global,
-                pattern,
-                publish,
-                select,
-            });
-        }
-        front.footprints.insert(
-            global.raw(),
-            FrontFootprint {
-                shard,
-                patterns: resolved,
-                single,
-            },
-        );
-        self.sync_front()
-    }
-
-    /// Release a departing query's front-stage footprint (the inverse of
-    /// [`front_subscribe`](Self::front_subscribe)) and re-sync the workers.
-    fn front_unsubscribe(&mut self, global: QueryId) -> CoreResult<()> {
-        let front = self
-            .front
-            .as_mut()
-            .ok_or(CoreError::internal("hybrid topology is enabled"))?;
-        let footprint = front
-            .footprints
-            .remove(&global.raw())
-            .ok_or(CoreError::internal("a live query has a front footprint"))?;
-        for (pid, edges) in &footprint.patterns {
-            front.router.unsubscribe(footprint.shard, *pid, edges)?;
-            let refs = front.edge_refs.get_mut(pid).ok_or(CoreError::internal(
-                "a subscribed pattern has edge refcounts",
-            ))?;
-            let list = front.requested.get_mut(pid).ok_or(CoreError::internal(
-                "a subscribed pattern has requested edges",
-            ))?;
-            for edge in edges {
-                let count = refs
-                    .get_mut(edge)
-                    .ok_or(CoreError::internal("a requested edge is refcounted"))?;
-                *count -= 1;
-                if *count == 0 {
-                    refs.remove(edge);
-                    list.retain(|e| e != edge);
-                }
-            }
-            if refs.is_empty() {
-                front.edge_refs.remove(pid);
-                front.requested.remove(pid);
-            }
-            front.index.unregister(*pid);
-        }
-        if footprint.single {
-            front.singles.retain(|s| s.global != global);
-        }
-        self.sync_front()
-    }
-
-    /// Broadcast the current Stage-1 snapshot (master index, requested-edge
-    /// union, single-block list) to every front worker and wait for their
-    /// acknowledgements, so the next batch is parsed against the updated
-    /// subscriptions.
-    fn sync_front(&mut self) -> CoreResult<()> {
-        let front = self
-            .front
-            .as_mut()
-            .ok_or(CoreError::internal("hybrid topology is enabled"))?;
-        let mut acks = Vec::with_capacity(front.workers.len());
-        for (i, worker) in front.workers.iter().enumerate() {
-            let (reply, response) = channel();
-            worker
-                .sender
-                .as_ref()
-                .ok_or(CoreError::ShardUnavailable { shard: i })?
-                .send(FrontRequest::Sync {
-                    index: Box::new(front.index.clone()),
-                    requested: front.requested.clone(),
-                    singles: front.singles.clone(),
-                    reply,
-                })
-                .map_err(|_| CoreError::ShardUnavailable { shard: i })?;
-            acks.push(response);
-        }
-        for (i, ack) in acks.into_iter().enumerate() {
-            ack.recv()
-                .map_err(|_| CoreError::ShardUnavailable { shard: i })?;
-        }
-        Ok(())
-    }
-
-    /// Run Stage 1 for one batch: assign ids/timestamps (the front owns the
-    /// global sequence), enforce in-order arrival (quarantining poison
-    /// documents under [`FaultPolicy::Quarantine`] instead of failing),
-    /// parse and pattern-match document-parallel across the front pool,
-    /// answer single-block subscriptions, and route the witness rows into
-    /// per-shard batches. A front worker that dies mid-parse is respawned
-    /// and its slice retried under [`FaultPolicy::Quarantine`]; under any
-    /// other policy its death fails the batch.
-    fn front_stage1(&mut self, docs: Vec<Document>, batch_index: u64) -> CoreResult<StagedBatch> {
-        let num_shards = self.shards.len();
-        let retain_documents = self.config.retain_documents;
-        let streaming = self.config.streaming_front;
-        let enforce_in_order = self.config.enforce_in_order;
-        let policy = self.config.fault_policy;
-        // Drain worker-directed faults before borrowing the front stage.
-        let front_faults: Vec<Option<WorkerFault>> = (0..self.config.front_pool)
-            .map(|worker| self.worker_fault_for_front(worker))
-            .collect();
-        let front = self
-            .front
-            .as_mut()
-            .ok_or(CoreError::internal("hybrid topology is enabled"))?;
-        let position = (front.next_doc_seq, front.newest_timestamp);
-
-        // Mirror the single engine's Stage-1 loop: ids/timestamps are
-        // assigned per document in arrival order. Outside Quarantine a
-        // rejected document aborts the whole batch before anything reaches
-        // a shard (the sequence numbers consumed so far stay consumed,
-        // exactly like `MmqjpEngine::process_batch`); under Quarantine the
-        // poison document is recorded and skipped without consuming a
-        // sequence number.
-        let handling = match policy {
-            FaultPolicy::Quarantine => PoisonHandling::Quarantine,
-            FaultPolicy::FailFast | FaultPolicy::Degrade => PoisonHandling::Consume,
-        };
-        let prepared = screen_and_stamp(
-            docs,
-            &mut front.next_doc_seq,
-            &mut front.newest_timestamp,
-            enforce_in_order,
-            handling,
-            batch_index,
-            &mut self.quarantine,
-            &mut self.supervisor_stats.docs_quarantined,
-        )?;
-        let log_entry = (policy != FaultPolicy::FailFast).then(|| prepared.clone());
-
-        // Document-parallel Stage 1: contiguous slices across the pool keep
-        // arrival order trivially reconstructible on collection.
-        let chunk_len = prepared.len().div_ceil(front.workers.len()).max(1);
-        let mut pending = Vec::new();
-        let mut iter = prepared.into_iter();
-        loop {
-            let slice: Vec<Document> = iter.by_ref().take(chunk_len).collect();
-            if slice.is_empty() {
-                break;
-            }
-            let worker = pending.len();
-            let retry = (policy == FaultPolicy::Quarantine).then(|| slice.clone());
-            let fault = front_faults.get(worker).copied().flatten();
-            let (reply, response) = channel();
-            front.workers[worker]
-                .sender
-                .as_ref()
-                .ok_or(CoreError::ShardUnavailable { shard: worker })?
-                .send(FrontRequest::Parse {
-                    docs: slice,
-                    fault,
-                    reply,
-                })
-                .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
-            pending.push((response, retry));
-        }
-        let mut parsed: Vec<ParsedDoc> = Vec::new();
-        let mut parse_work = Duration::ZERO;
-        for (worker, (response, retry)) in pending.into_iter().enumerate() {
-            let chunk = match response.recv() {
-                Ok(chunk) => chunk,
-                Err(_) if policy == FaultPolicy::Quarantine => {
-                    // The worker died mid-parse. Parsing is snapshot-pure, so
-                    // healing is a respawn, a targeted sync and one retry of
-                    // the same slice.
-                    let t0 = Instant::now();
-                    let respawned = spawn_front_worker(worker, retain_documents, streaming)
-                        .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
-                    let old = std::mem::replace(&mut front.workers[worker], respawned);
-                    drop(old.sender);
-                    if let Some(handle) = old.handle {
-                        let _ = handle.join();
-                    }
-                    sync_one_front_worker(front, worker)?;
-                    let docs = retry.ok_or(CoreError::ShardUnavailable { shard: worker })?;
-                    let (reply, response) = channel();
-                    front.workers[worker]
-                        .sender
-                        .as_ref()
-                        .ok_or(CoreError::ShardUnavailable { shard: worker })?
-                        .send(FrontRequest::Parse {
-                            docs,
-                            fault: None,
-                            reply,
-                        })
-                        .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
-                    let chunk = response
-                        .recv()
-                        .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
-                    self.supervisor_stats.shards_respawned += 1;
-                    self.supervisor_stats.timings.recovery += t0.elapsed();
-                    chunk
-                }
-                Err(_) => return Err(CoreError::ShardUnavailable { shard: worker }),
-            };
-            parse_work += chunk.elapsed;
-            parsed.extend(chunk.docs);
-        }
-
-        // Route the witness rows: still Stage-1 work (witness construction),
-        // done once here instead of once per shard.
-        let t_route = Instant::now();
-        let mut shard_batches: Vec<WitnessBatch> =
-            (0..num_shards).map(|_| WitnessBatch::new()).collect();
-        let mut singles = Vec::new();
-        let mut doc_meta = Vec::with_capacity(parsed.len());
-        let mut retained = Vec::new();
-        let mut routed_rows = 0usize;
-        for doc in parsed {
-            routed_rows += front.router.route_document(
-                &doc.doc,
-                &doc.bindings,
-                &front.index,
-                &self.interner,
-                &mut shard_batches,
-            )?;
-            singles.extend(doc.singles);
-            doc_meta.push((doc.doc.id(), doc.doc.timestamp().raw()));
-            if retain_documents {
-                retained.push(doc.doc);
-            }
-        }
-        front.stats.documents_processed += doc_meta.len();
-        front.stats.docs_parsed_once += doc_meta.len();
-        front.stats.witnesses_routed += routed_rows;
-        front.stats.results_emitted += singles.len();
-        front.stats.timings.xpath += parse_work + t_route.elapsed();
-        Ok(StagedBatch {
-            shard_batches,
-            doc_meta,
-            docs: retained,
-            singles,
-            log_entry,
-            position,
-        })
-    }
-
-    /// Send one staged batch's routed witness rows to every live shard (the
-    /// last live shard takes ownership of the retained documents; the
-    /// others get clones) without waiting for the replies. Under
-    /// [`FaultPolicy::Degrade`] dead shards are skipped; under
-    /// [`FaultPolicy::Quarantine`] each shard's payload is also kept for a
-    /// potential heal-retry.
-    fn dispatch_routed(&mut self, staged: StagedBatch) -> CoreResult<InFlight> {
-        let StagedBatch {
-            shard_batches,
-            doc_meta,
-            docs,
-            singles,
-            log_entry,
-            position,
-        } = staged;
-        let keep_retry = self.config.fault_policy == FaultPolicy::Quarantine;
-        // As in the replicated path: only Degrade routes around a dead
-        // shard; every other policy hits the availability error on send.
-        let degrade = self.config.fault_policy == FaultPolicy::Degrade;
-        let live: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| !degrade || self.shards[s].sender.is_some())
-            .collect();
-        let Some(&last) = live.last() else {
-            return Err(CoreError::ShardUnavailable { shard: 0 });
-        };
-        let mut responses = Vec::with_capacity(live.len());
-        let mut retry_routed: Option<Vec<Option<RoutedBatch>>> =
-            keep_retry.then(|| self.shards.iter().map(|_| None).collect());
-        let mut docs = Some(docs);
-        for (shard, batch) in shard_batches.into_iter().enumerate() {
-            if !live.contains(&shard) {
-                continue;
-            }
-            let shard_docs = if shard == last {
-                // lint:allow the loop takes the documents only on its final iteration
-                docs.take().expect("documents are moved out exactly once")
-            } else {
-                // lint:allow the loop takes the documents only on its final iteration
-                docs.as_ref().expect("documents not yet moved").clone()
-            };
-            let routed = RoutedBatch {
-                batch,
-                doc_meta: doc_meta.clone(),
-                docs: shard_docs,
-            };
-            if let Some(slots) = retry_routed.as_mut() {
-                slots[shard] = Some(routed.clone());
-            }
-            let fault = self.worker_fault_for_shard(shard);
-            let (reply, response) = channel();
-            self.send(
-                shard,
-                Request::Witness {
-                    routed: Box::new(routed),
-                    fault,
-                    reply,
-                },
-            )?;
-            responses.push((shard, response));
-        }
-        Ok(InFlight {
-            responses,
-            singles,
-            log_entry,
-            retry_routed,
-            position,
-        })
-    }
-
     /// Collect every shard's reply for one batch — even after an error, so
-    /// the shards advance in lockstep — and merge the matches (plus the
-    /// front's single-block matches) into canonical order. When
-    /// `overlapped`, the front just finished Stage 1 of the *next* batch;
-    /// a shard that has not replied yet then means the front is stalling on
-    /// Stage 2, counted once per batch in `pipeline_stalls`.
+    /// the shards advance in lockstep — and merge the matches into
+    /// canonical order.
     ///
     /// This is also where the supervisor lives: a reply of
     /// [`CoreError::ShardPanicked`] or a disconnected channel marks the
     /// shard dead, and the fault policy decides what happens next —
     /// FailFast propagates the death as this batch's error, Quarantine
     /// heals the shard inline (respawn, replay, retry this batch's
-    /// payload), and Degrade retires the shard and keeps serving the rest.
+    /// documents), and Degrade retires the shard and keeps serving the rest.
     /// Once collection completes the batch is committed to the replay log
     /// (dispatched ⇒ logged), which is then evicted to its retention bound.
     fn collect_shard_outputs(
         &mut self,
-        in_flight: InFlight,
-        overlapped: bool,
+        responses: Vec<(usize, BatchReply)>,
+        log_entry: Option<Vec<Document>>,
+        position: (u64, u64),
     ) -> CoreResult<Vec<MatchOutput>> {
-        let InFlight {
-            responses,
-            singles,
-            log_entry,
-            mut retry_routed,
-            position,
-        } = in_flight;
-        let mut merged = singles;
+        let mut merged = Vec::new();
         let mut first_error: Option<CoreError> = None;
-        let mut stalled = false;
         for (shard, response) in responses {
-            let received = if overlapped {
-                match response.try_recv() {
-                    Ok(result) => Ok(result),
-                    Err(TryRecvError::Empty) => {
-                        stalled = true;
-                        response.recv().map_err(|_| ())
-                    }
-                    Err(TryRecvError::Disconnected) => Err(()),
-                }
-            } else {
-                response.recv().map_err(|_| ())
-            };
+            let received = response.recv();
             // A panic reply or a dead channel both mean the worker's state
             // is gone or suspect: retire it, then apply the fault policy. A
             // typed error from a live worker (e.g. a rejected document in
-            // the replicated FailFast path) is this batch's error under
-            // every policy — the worker itself is fine.
-            let death = match &received {
-                Err(()) => true,
-                Ok(Err(CoreError::ShardPanicked { .. })) => true,
-                Ok(_) => false,
-            };
+            // the FailFast path) is this batch's error under every policy —
+            // the worker itself is fine.
+            let death = matches!(received, Err(_) | Ok(Err(CoreError::ShardPanicked { .. })));
             let outcome = if death {
                 self.retire_shard(shard);
                 match self.config.fault_policy {
@@ -1868,15 +745,10 @@ impl ShardedEngine {
                         // shard's queries go dark until a manual respawn.
                         continue;
                     }
-                    FaultPolicy::Quarantine => {
-                        self.heal_shard(shard, &log_entry, &mut retry_routed, position)
-                    }
+                    FaultPolicy::Quarantine => self.heal_shard(shard, log_entry.as_ref(), position),
                 }
             } else {
-                match received {
-                    Ok(result) => result,
-                    Err(()) => Err(CoreError::ShardUnavailable { shard }),
-                }
+                received.unwrap_or(Err(CoreError::ShardUnavailable { shard }))
             };
             match outcome {
                 Ok(outputs) => merged.extend(outputs),
@@ -1885,11 +757,6 @@ impl ShardedEngine {
                         first_error = Some(e);
                     }
                 }
-            }
-        }
-        if stalled {
-            if let Some(front) = self.front.as_mut() {
-                front.stats.pipeline_stalls += 1;
             }
         }
         // Dispatched ⇒ logged: the surviving shards absorbed this batch even
@@ -1910,18 +777,8 @@ impl ShardedEngine {
 
 impl Drop for ShardedEngine {
     fn drop(&mut self) {
-        if let Some(front) = &mut self.front {
-            for worker in &mut front.workers {
-                // Dropping the sender closes the channel; the loop exits.
-                worker.sender.take();
-            }
-            for worker in &mut front.workers {
-                if let Some(handle) = worker.handle.take() {
-                    let _ = handle.join();
-                }
-            }
-        }
         for shard in &mut self.shards {
+            // Dropping the sender closes the channel; the loop exits.
             shard.sender.take();
         }
         for shard in &mut self.shards {
@@ -1967,43 +824,7 @@ fn spawn_shard_worker(
     })
 }
 
-/// Spawn the front worker thread with index `worker`.
-fn spawn_front_worker(
-    worker: usize,
-    retain_documents: bool,
-    streaming: bool,
-) -> std::io::Result<FrontWorker> {
-    let (sender, receiver) = channel();
-    let handle = thread::Builder::new()
-        .name(format!("mmqjp-front-{worker}"))
-        .spawn(move || front_worker(retain_documents, streaming, receiver))?;
-    Ok(FrontWorker {
-        sender: Some(sender),
-        handle: Some(handle),
-    })
-}
-
-/// Push the front stage's current subscription snapshot to one worker (a
-/// freshly respawned one; its peers already hold it) and await the ack.
-fn sync_one_front_worker(front: &FrontStage, worker: usize) -> CoreResult<()> {
-    let (reply, response) = channel();
-    front.workers[worker]
-        .sender
-        .as_ref()
-        .ok_or(CoreError::ShardUnavailable { shard: worker })?
-        .send(FrontRequest::Sync {
-            index: Box::new(front.index.clone()),
-            requested: front.requested.clone(),
-            singles: front.singles.clone(),
-            reply,
-        })
-        .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
-    response
-        .recv()
-        .map_err(|_| CoreError::ShardUnavailable { shard: worker })
-}
-
-/// Map a fault policy to the replicated coordinator's poison handling.
+/// Map a fault policy to the coordinator's poison handling.
 fn poison_handling(policy: FaultPolicy) -> PoisonHandling {
     match policy {
         FaultPolicy::FailFast => PoisonHandling::Consume,
@@ -2013,7 +834,7 @@ fn poison_handling(policy: FaultPolicy) -> PoisonHandling {
 }
 
 /// Screen and stamp one batch against the stream watermarks, mirroring
-/// `MmqjpEngine::process_batch`'s Stage-1 screening exactly: each surviving
+/// `MmqjpEngine::process_batch`'s screening exactly: each surviving
 /// document consumes the next sequence number as its id (and, when it
 /// arrives with timestamp `0`, as its timestamp), and an out-of-order
 /// document is handled per `handling` — consume-and-fail, quarantine-and-
@@ -2083,18 +904,39 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The worker loop: owns one shard's engine, serves requests until the
-/// sending half of the channel is dropped.
+/// Serve one engine-touching request with panics contained: the result of
+/// `f` goes back on `reply`, and a caught panic is reported as a typed
+/// [`CoreError::ShardPanicked`] instead of a silently dropped channel.
+/// Returns `false` when the worker must retire — a panicking engine's state
+/// is suspect, so the supervisor must respawn the shard rather than keep
+/// talking to it.
+fn serve<T>(
+    shard: usize,
+    reply: &Sender<CoreResult<T>>,
+    f: impl FnOnce() -> CoreResult<T>,
+) -> bool {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(result) => {
+            let _ = reply.send(result);
+            true
+        }
+        Err(payload) => {
+            let _ = reply.send(Err(CoreError::ShardPanicked {
+                shard,
+                payload: panic_payload(payload.as_ref()),
+            }));
+            false
+        }
+    }
+}
+
+/// The worker loop: owns one shard's engine and serves requests until the
+/// sending half of the channel is dropped or a request panics (see
+/// [`serve`]).
 ///
 /// `global_ids` maps the shard-local query index (the order queries were
 /// registered on this shard) to the engine-global [`QueryId`], so the matches
 /// leaving the shard always speak the global id space.
-///
-/// Every engine-touching request runs inside `catch_unwind`: a panic is
-/// contained, reported to the coordinator as a typed
-/// [`CoreError::ShardPanicked`] (instead of a silently dropped channel), and
-/// then the worker retires itself — a panicking engine's state is suspect,
-/// so the supervisor must respawn the shard rather than keep talking to it.
 // The spawned worker thread must own its receiver (`'static` loop).
 #[allow(clippy::needless_pass_by_value)]
 fn shard_worker(
@@ -2103,7 +945,7 @@ fn shard_worker(
     shard: usize,
     initial_globals: Vec<QueryId>,
 ) {
-    let mut local_of: std::collections::HashMap<QueryId, QueryId> = initial_globals
+    let mut local_of: HashMap<QueryId, QueryId> = initial_globals
         .iter()
         .enumerate()
         .map(|(local, &global)| (global, QueryId(local as u64)))
@@ -2111,62 +953,25 @@ fn shard_worker(
     let mut global_ids: Vec<QueryId> = initial_globals;
     let mut engine = engine;
     while let Ok(request) = requests.recv() {
-        match request {
+        let alive = match request {
             Request::Register {
                 query,
                 global,
                 reply,
-            } => {
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    engine.register_query(*query).and_then(|local| {
-                        debug_assert_eq!(local.raw() as usize, global_ids.len());
-                        global_ids.push(global);
-                        local_of.insert(global, local);
-                        let runtime = engine.registry().query(local)?;
-                        let mut patterns = Vec::new();
-                        for r in &runtime.registrations {
-                            patterns.push((r.prev_pattern.clone(), r.prev_edges.clone()));
-                            patterns.push((r.cur_pattern.clone(), r.cur_edges.clone()));
-                        }
-                        let single = runtime
-                            .single_pattern
-                            .as_ref()
-                            .map(|p| (p.clone(), runtime.publish.clone(), runtime.select));
-                        Ok(Box::new(ShardFootprint { patterns, single }))
-                    })
-                }));
-                match caught {
-                    Ok(result) => {
-                        let _ = reply.send(result);
-                    }
-                    Err(payload) => {
-                        let _ = reply.send(Err(CoreError::ShardPanicked {
-                            shard,
-                            payload: panic_payload(payload.as_ref()),
-                        }));
-                        break;
-                    }
-                }
-            }
+            } => serve(shard, &reply, || {
+                engine.register_query(*query).map(|local| {
+                    debug_assert_eq!(local.raw() as usize, global_ids.len());
+                    global_ids.push(global);
+                    local_of.insert(global, local);
+                })
+            }),
             Request::Unregister { global, reply } => {
-                let caught = catch_unwind(AssertUnwindSafe(|| match local_of.get(&global) {
+                serve(shard, &reply, || match local_of.get(&global) {
                     Some(&local) => engine.unregister_query(local).map(|()| {
                         local_of.remove(&global);
                     }),
                     None => Err(CoreError::UnknownQuery { id: global.raw() }),
-                }));
-                match caught {
-                    Ok(result) => {
-                        let _ = reply.send(result);
-                    }
-                    Err(payload) => {
-                        let _ = reply.send(Err(CoreError::ShardPanicked {
-                            shard,
-                            payload: panic_payload(payload.as_ref()),
-                        }));
-                        break;
-                    }
-                }
+                })
             }
             Request::Batch { docs, fault, reply } => {
                 if matches!(fault, Some(WorkerFault::DropReply)) {
@@ -2177,9 +982,9 @@ fn shard_worker(
                     continue;
                 }
                 let panic_requested = matches!(fault, Some(WorkerFault::Panic));
-                let caught = catch_unwind(AssertUnwindSafe(|| {
+                serve(shard, &reply, || {
                     if panic_requested {
-                        // lint:allow deliberate injected fault, contained by catch_unwind below
+                        // lint:allow deliberate injected fault, contained by serve
                         panic!("injected fault: shard worker panic");
                     }
                     engine.process_batch(docs).map(|mut outputs| {
@@ -2188,278 +993,31 @@ fn shard_worker(
                         }
                         outputs
                     })
-                }));
-                match caught {
-                    Ok(result) => {
-                        let _ = reply.send(result);
-                    }
-                    Err(payload) => {
-                        let _ = reply.send(Err(CoreError::ShardPanicked {
-                            shard,
-                            payload: panic_payload(payload.as_ref()),
-                        }));
-                        break;
-                    }
-                }
-            }
-            Request::Witness {
-                routed,
-                fault,
-                reply,
-            } => {
-                if matches!(fault, Some(WorkerFault::DropReply)) {
-                    drop(reply);
-                    continue;
-                }
-                let panic_requested = matches!(fault, Some(WorkerFault::Panic));
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if panic_requested {
-                        // lint:allow deliberate injected fault, contained by catch_unwind below
-                        panic!("injected fault: shard worker panic");
-                    }
-                    engine.process_witness_batch(*routed).map(|mut outputs| {
-                        for output in &mut outputs {
-                            output.query = global_ids[output.query.raw() as usize];
-                        }
-                        outputs
-                    })
-                }));
-                match caught {
-                    Ok(result) => {
-                        let _ = reply.send(result);
-                    }
-                    Err(payload) => {
-                        let _ = reply.send(Err(CoreError::ShardPanicked {
-                            shard,
-                            payload: panic_payload(payload.as_ref()),
-                        }));
-                        break;
-                    }
-                }
+                })
             }
             Request::Stats { reply } => {
                 let _ = reply.send(engine.stats());
+                true
             }
             Request::Audit { reply } => {
                 let _ = reply.send(engine.audit());
+                true
             }
-        }
-    }
-}
-
-/// The front-worker loop: holds a snapshot of the Stage-1 state (master
-/// pattern index, requested-edge union, single-block subscriptions) and
-/// parses document slices against it. Snapshots are replaced wholesale by
-/// `Sync` requests on subscription churn.
-// The spawned front worker must own its receiver (`'static` loop).
-#[allow(clippy::needless_pass_by_value)]
-fn front_worker(retain_documents: bool, streaming: bool, requests: Receiver<FrontRequest>) {
-    let mut index = PatternIndex::default();
-    let mut requested: HashMap<PatternId, Vec<Edge>> = HashMap::new();
-    let mut singles: Vec<FrontSingle> = Vec::new();
-    // With the streaming front, single-block patterns are registered into the
-    // worker's snapshot index too, so one automaton pass answers join
-    // patterns and subscriptions alike. `single_pids[i]` is the index id of
-    // `singles[i]` (patterns structurally equal to a join pattern dedupe onto
-    // the same id, which is exactly what the shared pass wants).
-    let mut single_pids: Vec<PatternId> = Vec::new();
-    // Worker-lifetime pass buffer: the shared automaton pass allocates
-    // nothing per document once warm.
-    let mut pass = SharedPass::default();
-    while let Ok(request) = requests.recv() {
-        match request {
-            FrontRequest::Sync {
-                index: new_index,
-                requested: new_requested,
-                singles: new_singles,
-                reply,
-            } => {
-                index = *new_index;
-                requested = new_requested;
-                singles = new_singles;
-                single_pids.clear();
-                if streaming {
-                    single_pids.extend(singles.iter().map(|s| index.register(s.pattern.clone())));
-                }
-                let _ = reply.send(());
-            }
-            FrontRequest::Parse { docs, fault, reply } => {
-                if matches!(fault, Some(WorkerFault::DropReply)) {
-                    drop(reply);
-                    continue;
-                }
-                let panic_requested = matches!(fault, Some(WorkerFault::Panic));
-                let t0 = Instant::now();
-                // Contain panics (injected or organic): the dropped reply
-                // surfaces at the coordinator, which respawns and re-syncs
-                // this worker — parsing holds no cross-request state, so a
-                // snapshot push makes the replacement whole.
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if panic_requested {
-                        // lint:allow deliberate injected fault, contained by catch_unwind below
-                        panic!("injected fault: front worker panic");
-                    }
-                    docs.into_iter()
-                        .map(|doc| {
-                            let (bindings, single_matches) = if streaming {
-                                index.shared_pass_reusing(&doc, &mut pass);
-                                (
-                                    front_bindings_from_pass(&index, &requested, &doc, &pass),
-                                    match_front_singles_from_pass(
-                                        &singles,
-                                        &single_pids,
-                                        &doc,
-                                        &pass,
-                                        retain_documents,
-                                    ),
-                                )
-                            } else {
-                                (
-                                    index.evaluate_edge_bindings(&doc, &requested),
-                                    match_front_singles(&singles, &doc, retain_documents),
-                                )
-                            };
-                            ParsedDoc {
-                                doc,
-                                bindings,
-                                singles: single_matches,
-                            }
-                        })
-                        .collect()
-                }));
-                match caught {
-                    Ok(parsed) => {
-                        let _ = reply.send(ParsedChunk {
-                            docs: parsed,
-                            elapsed: t0.elapsed(),
-                        });
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-    }
-}
-
-/// Derive the routed edge bindings from a shared automaton pass. Mirrors
-/// `PatternIndex::evaluate_edge_bindings` over the front's requested-edge
-/// union: every join-side pattern has an entry in `requested`, so patterns
-/// without one (single-block subscriptions registered only for the shared
-/// pass) are skipped rather than falling back to their full edge set.
-fn front_bindings_from_pass(
-    index: &PatternIndex,
-    requested: &HashMap<PatternId, Vec<Edge>>,
-    doc: &Document,
-    pass: &SharedPass,
-) -> Vec<(PatternId, Vec<EdgeBinding>)> {
-    let mut out = Vec::new();
-    for (pid, pattern) in index.patterns() {
-        let Some(edges) = requested.get(&pid) else {
-            continue;
         };
-        let Some(useful) = pass.useful(pid) else {
-            continue;
-        };
-        if useful.first().map_or(true, Vec::is_empty) {
-            continue;
-        }
-        let matcher = PatternMatcher::new(pattern);
-        let bindings = matcher.edge_bindings_from_useful(doc, useful, edges);
-        if !bindings.is_empty() {
-            out.push((pid, bindings));
+        if !alive {
+            break;
         }
     }
-    out
 }
 
-/// Streaming-front variant of [`match_front_singles`]: the shared pass
-/// already ran satisfiability *and* usefulness pruning, so each subscription
-/// only replays witness enumeration over its own useful sets.
-fn match_front_singles_from_pass(
-    singles: &[FrontSingle],
-    single_pids: &[PatternId],
-    doc: &Document,
-    pass: &SharedPass,
-    retain_documents: bool,
-) -> Vec<MatchOutput> {
-    let mut outputs = Vec::new();
-    for (s, &pid) in singles.iter().zip(single_pids) {
-        let Some(useful) = pass.useful(pid) else {
-            continue;
-        };
-        if useful.first().map_or(true, Vec::is_empty) {
-            continue;
-        }
-        let matcher = PatternMatcher::new(&s.pattern);
-        for w in matcher.witnesses_from_useful(doc, useful) {
-            push_front_single_output(s, doc, &w, retain_documents, &mut outputs);
-        }
-    }
-    outputs
-}
-
-/// Answer single-block subscriptions at the front stage. Mirrors
-/// `MmqjpEngine::match_single_block_queries` — same witness enumeration,
-/// same output shape — but speaks engine-global query ids directly.
-fn match_front_singles(
-    singles: &[FrontSingle],
-    doc: &Document,
-    retain_documents: bool,
-) -> Vec<MatchOutput> {
-    let mut outputs = Vec::new();
-    for s in singles {
-        let matcher = PatternMatcher::new(&s.pattern);
-        for w in matcher.witnesses(doc) {
-            push_front_single_output(s, doc, &w, retain_documents, &mut outputs);
-        }
-    }
-    outputs
-}
-
-/// Turn one single-block witness into its front-stage [`MatchOutput`].
-fn push_front_single_output(
-    s: &FrontSingle,
-    doc: &Document,
-    w: &mmqjp_xpath::Witness,
-    retain_documents: bool,
-    outputs: &mut Vec<MatchOutput>,
-) {
-    let bindings = w
-        .bindings()
-        .iter()
-        .map(|(v, n)| Binding {
-            variable: v.clone(),
-            doc: doc.id(),
-            node: *n,
-        })
-        .collect();
-    let document = if retain_documents && s.select == SelectClause::Star {
-        Some(doc.clone())
-    } else {
-        None
-    };
-    outputs.push(MatchOutput {
-        query: s.global,
-        publish: s.publish.clone(),
-        left_doc: doc.id(),
-        right_doc: doc.id(),
-        bindings,
-        document,
-    });
-}
-
-// Compile-time audit that everything crossing (or living on) a shard or
-// front-worker thread is `Send`: the engine with its registry / relations /
-// view cache, the shared interner, and the request/response payloads of
-// both worker kinds.
+// Compile-time audit that everything crossing (or living on) a shard
+// thread is `Send`: the engine with its registry / relations / view cache,
+// the shared interner, and the request/response payloads.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<MmqjpEngine>();
     assert_send::<Arc<StringInterner>>();
     assert_send::<Request>();
-    assert_send::<FrontRequest>();
-    assert_send::<ParsedChunk>();
-    assert_send::<RoutedBatch>();
     assert_send::<CoreResult<Vec<MatchOutput>>>();
     assert_send::<EngineStats>();
     assert_send::<ShardedEngine>();
@@ -2480,8 +1038,8 @@ mod tests {
     const Q3: &str = "S//blog->x4[.//author->x5][.//title->x6] \
         FOLLOWED BY{x5=x5' AND x6=x6', 300} \
         S//blog->x4'[.//author->x5'][.//title->x6']";
-    /// A single-block subscription (no join): matched at the front stage in
-    /// hybrid mode.
+    /// A single-block subscription (no join): answered straight from each
+    /// shard's Stage-1 pass.
     const Q_SINGLE: &str = "S//book->x1[.//author->x2]";
 
     fn d1() -> Document {
@@ -2535,7 +1093,7 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_walkthrough_matches_single_engine_for_every_topology() {
+    fn single_block_walkthrough_matches_single_engine_for_every_shard_count() {
         let mut single = MmqjpEngine::new(EngineConfig::mmqjp());
         for q in [Q1, Q2, Q3, Q_SINGLE] {
             single.register_query_text(q).unwrap();
@@ -2544,161 +1102,28 @@ mod tests {
         sort_matches(&mut expected_d1);
         let mut expected_d2 = single.process_document(d2()).unwrap();
         sort_matches(&mut expected_d2);
-        // Q_SINGLE matches the book announcement on arrival.
+        // Q_SINGLE matches the book announcement on arrival; Q1 and Q2 join
+        // it with the blog article.
         assert!(!expected_d1.is_empty());
         assert_eq!(expected_d2.len(), 2);
 
-        for front_pool in [1, 2, 4] {
-            for shards in [1, 2, 3, 7] {
-                let mut e = ShardedEngine::new(
-                    EngineConfig::mmqjp()
-                        .with_num_shards(shards)
-                        .with_front_pool(front_pool),
-                );
-                for q in [Q1, Q2, Q3, Q_SINGLE] {
-                    e.register_query_text(q).unwrap();
-                }
-                assert_eq!(e.front_pool(), front_pool);
-                let out1 = e.process_document(d1()).unwrap();
-                assert_eq!(out1, expected_d1, "{front_pool} front / {shards} shards");
-                let out2 = e.process_document(d2()).unwrap();
-                assert_eq!(out2, expected_d2, "{front_pool} front / {shards} shards");
+        for shards in [1, 2, 3, 7] {
+            let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(shards));
+            for q in [Q1, Q2, Q3, Q_SINGLE] {
+                e.register_query_text(q).unwrap();
             }
+            assert_eq!(e.num_shards(), shards);
+            let out1 = e.process_document(d1()).unwrap();
+            assert_eq!(out1, expected_d1, "shard count {shards} diverges on d1");
+            let out2 = e.process_document(d2()).unwrap();
+            assert_eq!(out2, expected_d2, "shard count {shards} diverges on d2");
         }
-    }
-
-    #[test]
-    fn hybrid_stats_count_documents_once_and_sum_exactly() {
-        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(2));
-        e.process_document(d1()).unwrap();
-        e.process_document(d2()).unwrap();
-        let per_shard = e.shard_stats().unwrap();
-        let front = e.front_stats();
-        let total = e.stats().unwrap();
-        // Exact decomposition: aggregate == shard sum + front stats.
-        let shard_sum: EngineStats = per_shard.iter().copied().sum();
-        assert_eq!(total, shard_sum + front);
-        // Documents are parsed and counted exactly once, at the front.
-        assert_eq!(front.documents_processed, 2);
-        assert_eq!(front.docs_parsed_once, 2);
-        assert_eq!(total.documents_processed, 2);
-        assert!(per_shard.iter().all(|s| s.documents_processed == 0));
-        // Witness rows were routed (both documents carry witnesses).
-        assert!(front.witnesses_routed > 0);
-        assert_eq!(total.witnesses_routed, front.witnesses_routed);
-        // Shards did no Stage-1 work; the front did all of it.
-        assert!(per_shard.iter().all(|s| s.timings.xpath == Duration::ZERO));
-        assert!(front.timings.xpath > Duration::ZERO);
-        // Join results still come from the shards.
-        assert_eq!(total.results_emitted, 2);
-    }
-
-    #[test]
-    fn hybrid_unregister_releases_front_subscriptions() {
-        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(1));
-        assert!(!e.witness_router().unwrap().is_empty());
-        e.process_document(d1()).unwrap();
-        e.unregister_query(QueryId(0)).unwrap();
-        let out = e.process_document(d2()).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].query, QueryId(1));
-        e.unregister_query(QueryId(1)).unwrap();
-        e.unregister_query(QueryId(2)).unwrap();
-        // The routing table empties with the last subscription.
-        assert!(e.witness_router().unwrap().is_empty());
-        assert!(e
-            .process_document(d2().with_timestamp(Timestamp(30)))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn hybrid_pipelined_batches_equal_batchwise_processing() {
-        let docs: Vec<Document> = (0..6)
-            .map(|i| {
-                let doc = if i % 2 == 0 { d1() } else { d2() };
-                doc.with_timestamp(Timestamp(10 + i * 10))
-            })
-            .collect();
-        let batches: Vec<Vec<Document>> = docs.chunks(1).map(|c| c.to_vec()).collect();
-
-        // Reference: batch-at-a-time on the unpipelined entry point.
-        let mut reference = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(2));
-        let expected: Vec<Vec<MatchOutput>> = batches
-            .clone()
-            .into_iter()
-            .map(|b| reference.process_batch(b).unwrap())
-            .collect();
-
-        let mut pipelined = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(2));
-        let results = pipelined.process_batches(batches).unwrap();
-        assert_eq!(results, expected);
-        assert_eq!(
-            pipelined.stats().unwrap().results_emitted,
-            expected.iter().map(Vec::len).sum::<usize>()
-        );
-    }
-
-    #[test]
-    fn witness_router_routes_only_to_subscribers() {
-        use mmqjp_xpath::parse_pattern;
-        let mut index = PatternIndex::default();
-        let mut p1 = parse_pattern("S//book->b[.//author->a]").unwrap();
-        p1.assign_canonical_variables();
-        let mut p2 = parse_pattern("S//book->b[.//title->t]").unwrap();
-        p2.assign_canonical_variables();
-        let edges1: Vec<Edge> = p1.edges();
-        let edges2: Vec<Edge> = p2.edges();
-        let pid1 = index.register(p1.clone());
-        let pid2 = index.register(p2.clone());
-
-        let mut router = WitnessRouter::new();
-        router.subscribe(0, pid1, &edges1);
-        router.subscribe(2, pid2, &edges2);
-        assert_eq!(router.subscribers(pid1), vec![0]);
-        assert_eq!(router.subscribers(pid2), vec![2]);
-
-        let interner = Arc::new(StringInterner::new());
-        let doc = d1().with_id(DocId(1));
-        let mut requested: HashMap<PatternId, Vec<Edge>> = HashMap::new();
-        requested.insert(pid1, edges1.clone());
-        requested.insert(pid2, edges2.clone());
-        let bindings = index.evaluate_edge_bindings(&doc, &requested);
-        assert!(!bindings.is_empty());
-
-        let mut batches = vec![
-            WitnessBatch::new(),
-            WitnessBatch::new(),
-            WitnessBatch::new(),
-        ];
-        let routed = router
-            .route_document(&doc, &bindings, &index, &interner, &mut batches)
-            .unwrap();
-        assert!(routed > 0);
-        // Shard 1 subscribed to nothing: ledger row only.
-        assert_eq!(batches[1].num_witness_rows(), 0);
-        assert_eq!(batches[1].rdoc_ts_w.len(), 1);
-        // Shards 0 and 2 got exactly their subscribed patterns' rows.
-        assert!(batches[0].num_witness_rows() > 0);
-        assert!(batches[2].num_witness_rows() > 0);
-        assert_eq!(
-            routed,
-            batches[0].num_witness_rows() + batches[2].num_witness_rows()
-        );
-        // Unsubscribing shard 0 drops its pattern from the table.
-        router.unsubscribe(0, pid1, &edges1).unwrap();
-        assert_eq!(router.subscribers(pid1), Vec::<usize>::new());
-        assert!(!router.is_empty());
-        router.unsubscribe(2, pid2, &edges2).unwrap();
-        assert!(router.is_empty());
     }
 
     #[test]
     fn zero_shards_is_clamped_to_one() {
         let e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(0));
         assert_eq!(e.num_shards(), 1);
-        assert_eq!(e.front_pool(), 0);
-        assert!(e.witness_router().is_none());
     }
 
     #[test]
@@ -2719,10 +1144,9 @@ mod tests {
 
     #[test]
     fn failed_registration_consumes_no_id() {
-        let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(1));
+        let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(3));
         assert!(e.register_query_text("not a query at all ///").is_err());
         assert_eq!(e.num_queries(), 0);
-        assert!(e.witness_router().unwrap().is_empty());
         let id = e.register_query_text(Q1).unwrap();
         assert_eq!(id, QueryId(0));
     }
@@ -2740,7 +1164,7 @@ mod tests {
         assert_eq!(per_shard.len(), 2);
         let total = e.stats().unwrap();
         assert_eq!(total, per_shard.iter().copied().sum());
-        // The replicated topology has no front stage.
+        // There is no front stage: its stats are all-zero.
         assert_eq!(e.front_stats(), EngineStats::default());
         assert_eq!(total.queries_registered, 3);
         // Every shard sees every document.
@@ -2776,34 +1200,24 @@ mod tests {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         assert!(e.process_batch(Vec::new()).unwrap().is_empty());
         assert_eq!(e.stats().unwrap().documents_processed, 0);
-        // Hybrid: same, including via the pipelined entry point.
-        let mut h = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(1));
-        assert!(h.process_batch(Vec::new()).unwrap().is_empty());
-        let results = h.process_batches(vec![Vec::new(), Vec::new()]).unwrap();
-        assert_eq!(results, vec![Vec::new(), Vec::new()]);
-        assert_eq!(h.stats().unwrap().documents_processed, 0);
     }
 
     #[test]
     fn out_of_order_document_errors_like_the_single_engine() {
-        for front_pool in [0, 2] {
-            let mut config = EngineConfig::mmqjp()
-                .with_num_shards(3)
-                .with_front_pool(front_pool);
-            config.enforce_in_order = true;
-            let mut e = sharded(config);
-            e.process_document(d1().with_timestamp(Timestamp(100)))
-                .unwrap();
-            let err = e
-                .process_document(d2().with_timestamp(Timestamp(50)))
-                .unwrap_err();
-            assert!(matches!(err, CoreError::OutOfOrderDocument { .. }));
-            // The engine keeps working after the rejected document.
-            let out = e
-                .process_document(d2().with_timestamp(Timestamp(120)))
-                .unwrap();
-            assert!(!out.is_empty(), "front pool {front_pool}");
-        }
+        let mut config = EngineConfig::mmqjp().with_num_shards(3);
+        config.enforce_in_order = true;
+        let mut e = sharded(config);
+        e.process_document(d1().with_timestamp(Timestamp(100)))
+            .unwrap();
+        let err = e
+            .process_document(d2().with_timestamp(Timestamp(50)))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::OutOfOrderDocument { .. }));
+        // The engine keeps working after the rejected document.
+        let out = e
+            .process_document(d2().with_timestamp(Timestamp(120)))
+            .unwrap();
+        assert!(!out.is_empty());
     }
 
     #[test]

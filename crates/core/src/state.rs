@@ -373,36 +373,18 @@ impl JoinState {
     /// witness rows whole into their timestamp buckets — the batch is
     /// consumed, so no per-value copies happen — maintain the per-bucket
     /// indexes and the retention ledger, and retain documents when asked to.
-    #[cfg(test)]
+    /// `docs` are the batch's stamped documents; every witness row must
+    /// belong to one of them.
     pub fn absorb(
         &mut self,
         batch: WitnessBatch,
         docs: &[Document],
         retain_documents: bool,
     ) -> CoreResult<()> {
-        let meta: Vec<(DocId, u64)> = docs
+        let ts_of: HashMap<i64, u64> = docs
             .iter()
-            .map(|doc| (doc.id(), doc.timestamp().raw()))
+            .map(|doc| (doc.id().raw() as i64, doc.timestamp().raw()))
             .collect();
-        self.absorb_routed(batch, &meta, docs, retain_documents)
-    }
-
-    /// [`absorb`](Self::absorb) for a witness batch routed by the hybrid
-    /// front stage, where the shard may not hold the documents themselves:
-    /// the `(doc id, timestamp)` pairs come in as explicit metadata, and
-    /// `docs` carries the full documents only when `retain_documents` is on
-    /// (it may be empty otherwise).
-    pub fn absorb_routed(
-        &mut self,
-        batch: WitnessBatch,
-        meta: &[(DocId, u64)],
-        docs: &[Document],
-        retain_documents: bool,
-    ) -> CoreResult<()> {
-        let mut ts_of: HashMap<i64, u64> = HashMap::with_capacity(meta.len());
-        for &(doc, ts) in meta {
-            ts_of.insert(doc.raw() as i64, ts);
-        }
         let doc_ts = |docid: i64, relation: &'static str| -> CoreResult<u64> {
             ts_of
                 .get(&docid)

@@ -14,14 +14,13 @@ use std::time::Duration;
 /// Cumulative wall-clock time per processing phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTimings {
-    /// Stage 1: XPath evaluation — pattern matching and witness/edge-binding
-    /// enumeration, whichever front end (per-pattern DOM walks or the shared
-    /// streaming automaton) produced them.
+    /// Stage 1: XPath evaluation — the shared automaton pass over the
+    /// document and the witness/edge-binding enumeration derived from it.
     pub xpath: Duration,
     /// Witness-relation construction: ingesting the Stage-1 edge bindings
-    /// into the batch's `RbinW`/`RdocW` relations. Identical byte-for-byte
-    /// work under either Stage-1 front end, so it is kept out of
-    /// [`xpath`](Self::xpath) — that bucket compares the front strategies.
+    /// into the batch's `RbinW`/`RdocW` relations. Kept out of
+    /// [`xpath`](Self::xpath) so pattern matching and relation building are
+    /// timed as separate layers.
     pub ingest: Duration,
     /// Computing the common string values `STR` / the `Rvj` semi-join
     /// (view-materialization mode), or gathering the batch-restricted
@@ -149,23 +148,7 @@ pub struct EngineStats {
     /// and executor buffers are engine-lifetime objects, not per-batch
     /// ones: an execution allocates nothing but its result relation.
     pub scratch_reuses: usize,
-    /// Documents parsed and Stage-1-evaluated exactly once by the hybrid
-    /// front stage of [`ShardedEngine`](crate::ShardedEngine) (with
-    /// `front_pool >= 1`). Zero for single engines and for the replicated
-    /// topology, where every shard re-parses every document.
-    pub docs_parsed_once: usize,
-    /// Witness rows (`RbinW` + `RdocW`) the hybrid front stage routed to
-    /// query shards. Rows for a pattern travel only to the shards whose
-    /// queries subscribed to it, so this counts deliveries: a row shared by
-    /// subscribers on two shards is routed (and counted) twice.
-    pub witnesses_routed: usize,
-    /// Batches for which the pipelined hybrid front finished Stage 1 of
-    /// batch `k+1` before the shards had finished Stage 2 of batch `k` —
-    /// i.e. the front stalled waiting for the join stage. A high ratio of
-    /// stalls to batches means Stage 2 is the bottleneck and more shards
-    /// would help; zero stalls mean Stage 1 is.
-    pub pipeline_stalls: usize,
-    /// Worker threads (shard or front) respawned by the supervisor after a
+    /// Shard worker threads respawned by the supervisor after a
     /// contained panic or a dropped channel — automatically under
     /// [`FaultPolicy::Quarantine`](crate::FaultPolicy), or via a manual
     /// `ShardedEngine::respawn_shard` under
@@ -214,12 +197,9 @@ impl EngineStats {
 /// aggregation [`ShardedEngine`](crate::ShardedEngine) uses: each query lives
 /// in exactly one shard, so `queries_registered` sums to the global query
 /// count, while per-shard quantities (`documents_processed`, `templates`,
-/// timings, ...) sum to the total work done across all shards. In the
-/// replicated topology (`front_pool == 0`) every document is replicated to
-/// every shard, so `documents_processed` of an `N`-shard engine is `N ×` the
-/// number of ingested documents; in the hybrid topology documents are
-/// counted once, by the front stage, so the aggregate equals the number of
-/// ingested documents.
+/// timings, ...) sum to the total work done across all shards. Every document
+/// is replicated to every shard, so `documents_processed` of an `N`-shard
+/// engine is `N ×` the number of ingested documents.
 impl AddAssign for EngineStats {
     fn add_assign(&mut self, rhs: Self) {
         self.documents_processed += rhs.documents_processed;
@@ -244,9 +224,6 @@ impl AddAssign for EngineStats {
         self.plans_compiled += rhs.plans_compiled;
         self.rows_materialized += rhs.rows_materialized;
         self.scratch_reuses += rhs.scratch_reuses;
-        self.docs_parsed_once += rhs.docs_parsed_once;
-        self.witnesses_routed += rhs.witnesses_routed;
-        self.pipeline_stalls += rhs.pipeline_stalls;
         self.shards_respawned += rhs.shards_respawned;
         self.docs_quarantined += rhs.docs_quarantined;
         self.rows_replayed += rhs.rows_replayed;
@@ -340,9 +317,6 @@ mod tests {
             plans_compiled: 14,
             rows_materialized: 15,
             scratch_reuses: 16,
-            docs_parsed_once: 17,
-            witnesses_routed: 18,
-            pipeline_stalls: 19,
             shards_respawned: 21,
             docs_quarantined: 22,
             rows_replayed: 23,
@@ -375,9 +349,6 @@ mod tests {
             plans_compiled: 140,
             rows_materialized: 150,
             scratch_reuses: 160,
-            docs_parsed_once: 170,
-            witnesses_routed: 180,
-            pipeline_stalls: 190,
             shards_respawned: 210,
             docs_quarantined: 220,
             rows_replayed: 230,
@@ -410,9 +381,6 @@ mod tests {
         assert_eq!(s.plans_compiled, 154);
         assert_eq!(s.rows_materialized, 165);
         assert_eq!(s.scratch_reuses, 176);
-        assert_eq!(s.docs_parsed_once, 187);
-        assert_eq!(s.witnesses_routed, 198);
-        assert_eq!(s.pipeline_stalls, 209);
         assert_eq!(s.shards_respawned, 231);
         assert_eq!(s.docs_quarantined, 242);
         assert_eq!(s.rows_replayed, 253);

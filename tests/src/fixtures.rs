@@ -63,11 +63,6 @@ pub fn all_modes() -> [ProcessingMode; 3] {
 /// empty on small query sets.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// Front-pool sizes the hybrid-topology sweep exercises: a single worker (no
-/// document parallelism, routing only), an even pool, and a pool larger than
-/// most test batches (workers with empty slices).
-pub const FRONT_POOLS: [usize; 3] = [1, 2, 4];
-
 /// Build an engine in the given mode with the given queries registered.
 pub fn engine_with_queries(mode: ProcessingMode, queries: &[&str]) -> MmqjpEngine {
     let config = EngineConfig {
@@ -104,7 +99,7 @@ pub fn assert_audit_clean(engine: &MmqjpEngine) {
 }
 
 /// Assert a sharded engine's invariant audit comes back clean across every
-/// shard and the front stage.
+/// shard and the coordinator.
 pub fn assert_audit_clean_sharded(engine: &ShardedEngine) {
     let violations = engine.audit().expect("audit reaches every shard");
     assert!(
@@ -149,28 +144,6 @@ pub fn sharded_engine_with_queries(
     // Every sharded fixture runs with a benign (empty) fault plan installed:
     // the injection plumbing must be zero-cost and non-perturbing, so every
     // equivalence assertion built on these fixtures proves exactly that.
-    engine.set_fault_injector(FaultInjector::new(FaultPlan::none()));
-    for q in queries {
-        engine.register_query(q.clone()).expect("query registers");
-    }
-    engine
-}
-
-/// Build a sharded engine with an explicit topology: `front_pool == 0` is
-/// the replicated topology (every shard re-runs Stage 1), `>= 1` the hybrid
-/// parse-once topology with that many Stage-1 front workers.
-pub fn sharded_engine_with_topology(
-    config: EngineConfig,
-    num_shards: usize,
-    front_pool: usize,
-    queries: &[mmqjp_xscl::XsclQuery],
-) -> ShardedEngine {
-    let mut engine = ShardedEngine::new(
-        config
-            .with_num_shards(num_shards)
-            .with_front_pool(front_pool),
-    );
-    // Benign fault plan: see `sharded_engine_with_queries`.
     engine.set_fault_injector(FaultInjector::new(FaultPlan::none()));
     for q in queries {
         engine.register_query(q.clone()).expect("query registers");

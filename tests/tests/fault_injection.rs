@@ -1,15 +1,15 @@
 //! Deterministic chaos harness for the self-healing sharded pipeline.
 //!
 //! The central property is differential: under *any* seeded fault schedule —
-//! worker panics, dropped replies, front-worker deaths, corrupted document
-//! bytes, out-of-order timestamps — a [`FaultPolicy::Quarantine`] engine must
+//! worker panics, dropped replies, corrupted document bytes, out-of-order
+//! timestamps — a [`FaultPolicy::Quarantine`] engine must
 //! produce byte-identical output to a fresh, fault-free engine fed only the
 //! surviving documents, and its invariant audit must come back clean after
 //! every recovery. Alongside the differential sweep there are targeted tests
 //! for each policy: FailFast containment (a panic becomes a typed error, not
 //! a hang), Degrade (dead shards go dark, the rest keep serving, a manual
-//! respawn restores full service), and the pipelined entry point's
-//! checkpoint/rollback of a staged-but-never-dispatched batch.
+//! respawn restores full service), and Quarantine's handling of poison
+//! input mid-stream.
 //!
 //! The three default seeds are fixed so CI failures replay exactly; override
 //! them with `MMQJP_CHAOS_SEEDS=1,2,3` to widen the sweep.
@@ -22,7 +22,7 @@ use mmqjp_core::{
     MatchOutput, QuarantineRecord, ShardedEngine,
 };
 use mmqjp_integration_tests::{
-    assert_audit_clean_sharded, match_keys, sharded_engine_with_topology,
+    assert_audit_clean_sharded, match_keys, sharded_engine_with_queries,
 };
 use mmqjp_workload::{RssQueryGenerator, RssStreamConfig, RssStreamGenerator};
 use mmqjp_xml::{parse_document, parse_document_streaming, serialize, Document, Timestamp};
@@ -66,17 +66,12 @@ fn rss_workload(
 fn chaos_engine(
     config: EngineConfig,
     num_shards: usize,
-    front_pool: usize,
     policy: FaultPolicy,
     plan: FaultPlan,
     queries: &[mmqjp_xscl::XsclQuery],
 ) -> ShardedEngine {
-    let mut engine = ShardedEngine::new(
-        config
-            .with_num_shards(num_shards)
-            .with_front_pool(front_pool)
-            .with_fault_policy(policy),
-    );
+    let mut engine =
+        ShardedEngine::new(config.with_num_shards(num_shards).with_fault_policy(policy));
     engine.set_fault_injector(FaultInjector::new(plan));
     for q in queries {
         engine.register_query(q.clone()).expect("query registers");
@@ -165,13 +160,14 @@ fn survivor_batches(mutated: &[Vec<Document>], records: &[QuarantineRecord]) -> 
 /// The worker-directed faults the engine will actually deliver for this
 /// plan: each one retires a worker and forces a respawn, so the count pins
 /// both `faults_injected` and `shards_respawned`.
-fn worker_fault_count(plan: &FaultPlan, batches: u64, front_pool: usize) -> usize {
+fn worker_fault_count(plan: &FaultPlan, batches: u64) -> usize {
     (0..batches)
         .flat_map(|b| plan.faults_at(b))
-        .filter(|f| match f {
-            FaultKind::PanicShard { .. } | FaultKind::DropResponse { .. } => true,
-            FaultKind::PanicFront { .. } => front_pool > 0,
-            _ => false,
+        .filter(|f| {
+            matches!(
+                f,
+                FaultKind::PanicShard { .. } | FaultKind::DropResponse { .. }
+            )
         })
         .count()
 }
@@ -185,14 +181,12 @@ fn run_chaos_differential(
     seed: u64,
     base_config: EngineConfig,
     num_shards: usize,
-    front_pool: usize,
-    pipelined: bool,
     num_queries: usize,
     items: usize,
 ) {
     let (queries, docs) = rss_workload(seed, num_queries, items);
     let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
-    let plan = FaultPlan::seeded(seed, batches.len() as u64, num_shards, front_pool);
+    let plan = FaultPlan::seeded(seed, batches.len() as u64, num_shards);
     let mut config = base_config.with_retain_documents(false);
     config.enforce_in_order = true;
 
@@ -201,25 +195,18 @@ fn run_chaos_differential(
     let mut chaos = chaos_engine(
         config.clone(),
         num_shards,
-        front_pool,
         FaultPolicy::Quarantine,
         plan.clone(),
         &queries,
     );
-    let chaos_out: Vec<Vec<MatchOutput>> = if pipelined {
-        chaos
-            .process_batches(mutated.clone())
-            .expect("quarantine absorbs every injected fault")
-    } else {
-        mutated
-            .iter()
-            .map(|batch| {
-                chaos
-                    .process_batch(batch.clone())
-                    .expect("quarantine absorbs every injected fault")
-            })
-            .collect()
-    };
+    let chaos_out: Vec<Vec<MatchOutput>> = mutated
+        .iter()
+        .map(|batch| {
+            chaos
+                .process_batch(batch.clone())
+                .expect("quarantine absorbs every injected fault")
+        })
+        .collect();
 
     let records = chaos.take_quarantine_records();
     for record in &records {
@@ -232,7 +219,7 @@ fn run_chaos_differential(
     }
 
     let survivors = survivor_batches(&mutated, &records);
-    let mut reference = sharded_engine_with_topology(config, num_shards, front_pool, &queries);
+    let mut reference = sharded_engine_with_queries(config, num_shards, &queries);
     let expected: Vec<Vec<MatchOutput>> = survivors
         .iter()
         .map(|batch| {
@@ -245,13 +232,13 @@ fn run_chaos_differential(
     assert_eq!(
         chaos_out, expected,
         "chaos output diverged from the survivor reference \
-         (seed {seed}, shards {num_shards}, front {front_pool}, pipelined {pipelined})"
+         (seed {seed}, shards {num_shards})"
     );
     assert_audit_clean_sharded(&chaos);
 
     let stats = chaos.stats().expect("every shard is live after healing");
     assert_eq!(stats.docs_quarantined, records.len());
-    let worker_faults = worker_fault_count(&plan, batches.len() as u64, front_pool);
+    let worker_faults = worker_fault_count(&plan, batches.len() as u64);
     assert_eq!(stats.faults_injected, worker_faults);
     assert_eq!(stats.shards_respawned, worker_faults);
     if worker_faults > 0 {
@@ -263,55 +250,44 @@ fn run_chaos_differential(
     assert!(chaos.degraded_shards().is_empty());
 }
 
-/// The CI chaos matrix: three fixed seeds, both sharded topologies,
+/// The CI chaos matrix: three fixed seeds over two shard layouts,
 /// batch-at-a-time ingestion.
 #[test]
 fn chaos_differential_across_seeds_and_topologies() {
     for seed in chaos_seeds() {
-        for (num_shards, front_pool) in [(3, 0), (3, 2)] {
-            run_chaos_differential(
-                seed,
-                EngineConfig::mmqjp(),
-                num_shards,
-                front_pool,
-                false,
-                24,
-                48,
-            );
+        for num_shards in [2, 3] {
+            run_chaos_differential(seed, EngineConfig::mmqjp(), num_shards, 24, 48);
         }
     }
 }
 
-/// The same property through the pipelined entry point, where recovery has
-/// to cooperate with the depth-1 overlap of Stage 1 and Stage 2.
+/// The same property in view-materialized mode, where healing must also
+/// rebuild a consistent view cache on the respawned shard.
 #[test]
-fn chaos_differential_pipelined() {
+fn chaos_differential_view_mat() {
     for seed in chaos_seeds() {
-        run_chaos_differential(seed, EngineConfig::mmqjp_view_mat(), 3, 2, true, 24, 48);
+        run_chaos_differential(seed, EngineConfig::mmqjp_view_mat(), 3, 24, 48);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The differential property holds for arbitrary seeds across modes,
-    /// shard counts, topologies and both entry points — smaller workloads
-    /// than the fixed-seed matrix, many more schedules.
+    /// The differential property holds for arbitrary seeds across modes
+    /// and shard counts — smaller workloads than the fixed-seed matrix,
+    /// many more schedules.
     #[test]
     fn chaos_differential_holds_for_any_seed(
         seed in 0u64..1_000_000,
         num_shards in 1usize..5,
-        front_pool in 0usize..3,
         view_mat in 0u8..2,
-        pipelined in 0u8..2,
     ) {
-        let pipelined = pipelined == 1;
         let base = if view_mat == 1 {
             EngineConfig::mmqjp_view_mat()
         } else {
             EngineConfig::mmqjp()
         };
-        run_chaos_differential(seed, base, num_shards, front_pool, pipelined, 16, 32);
+        run_chaos_differential(seed, base, num_shards, 16, 32);
     }
 }
 
@@ -320,54 +296,41 @@ proptest! {
 /// respawn/fault accounting, state replayed, audit clean.
 #[test]
 fn injected_worker_deaths_heal_transparently() {
-    for front_pool in [0usize, 2] {
-        let (queries, docs) = rss_workload(61, 24, 40);
-        let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
-        let mut plan = FaultPlan::none()
-            .at(1, FaultKind::PanicShard { shard: 0 })
-            .at(3, FaultKind::DropResponse { shard: 2 })
-            .at(6, FaultKind::PanicShard { shard: 1 })
-            .at(8, FaultKind::DropResponse { shard: 0 });
-        if front_pool > 0 {
-            plan = plan.at(4, FaultKind::PanicFront { worker: 1 });
-        }
-        let expected_respawns = if front_pool > 0 { 5 } else { 4 };
-        let config = EngineConfig::mmqjp().with_retain_documents(false);
+    let (queries, docs) = rss_workload(61, 24, 40);
+    let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
+    let plan = FaultPlan::none()
+        .at(1, FaultKind::PanicShard { shard: 0 })
+        .at(3, FaultKind::DropResponse { shard: 2 })
+        .at(6, FaultKind::PanicShard { shard: 1 })
+        .at(8, FaultKind::DropResponse { shard: 0 });
+    let config = EngineConfig::mmqjp().with_retain_documents(false);
 
-        let mut chaos = chaos_engine(
-            config.clone(),
-            3,
-            front_pool,
-            FaultPolicy::Quarantine,
-            plan,
-            &queries,
-        );
-        let chaos_out: Vec<Vec<MatchOutput>> = batches
-            .iter()
-            .map(|b| chaos.process_batch(b.clone()).expect("healed inline"))
-            .collect();
+    let mut chaos = chaos_engine(config.clone(), 3, FaultPolicy::Quarantine, plan, &queries);
+    let chaos_out: Vec<Vec<MatchOutput>> = batches
+        .iter()
+        .map(|b| chaos.process_batch(b.clone()).expect("healed inline"))
+        .collect();
 
-        let mut reference = sharded_engine_with_topology(config, 3, front_pool, &queries);
-        let expected: Vec<Vec<MatchOutput>> = batches
-            .iter()
-            .map(|b| reference.process_batch(b.clone()).expect("fault-free"))
-            .collect();
-        assert_eq!(chaos_out, expected, "front pool {front_pool}");
-        assert!(
-            expected.iter().any(|b| !b.is_empty()),
-            "the workload must produce matches for the comparison to bite"
-        );
+    let mut reference = sharded_engine_with_queries(config, 3, &queries);
+    let expected: Vec<Vec<MatchOutput>> = batches
+        .iter()
+        .map(|b| reference.process_batch(b.clone()).expect("fault-free"))
+        .collect();
+    assert_eq!(chaos_out, expected);
+    assert!(
+        expected.iter().any(|b| !b.is_empty()),
+        "the workload must produce matches for the comparison to bite"
+    );
 
-        let stats = chaos.stats().expect("all shards live after healing");
-        assert_eq!(stats.shards_respawned, expected_respawns);
-        assert_eq!(stats.faults_injected, expected_respawns);
-        assert_eq!(stats.docs_quarantined, 0);
-        assert!(chaos.take_quarantine_records().is_empty());
-        assert!(stats.rows_replayed > 0, "healing replays in-window state");
-        assert!(stats.timings.recovery > Duration::ZERO);
-        assert_audit_clean_sharded(&chaos);
-        assert!(chaos.degraded_shards().is_empty());
-    }
+    let stats = chaos.stats().expect("all shards live after healing");
+    assert_eq!(stats.shards_respawned, 4);
+    assert_eq!(stats.faults_injected, 4);
+    assert_eq!(stats.docs_quarantined, 0);
+    assert!(chaos.take_quarantine_records().is_empty());
+    assert!(stats.rows_replayed > 0, "healing replays in-window state");
+    assert!(stats.timings.recovery > Duration::ZERO);
+    assert_audit_clean_sharded(&chaos);
+    assert!(chaos.degraded_shards().is_empty());
 }
 
 /// FailFast containment: an injected panic surfaces as the typed
@@ -379,7 +342,7 @@ fn failfast_turns_a_panic_into_a_typed_error() {
     let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
     let plan = FaultPlan::none().at(1, FaultKind::PanicShard { shard: 0 });
     let config = EngineConfig::mmqjp().with_retain_documents(false);
-    let mut engine = chaos_engine(config, 2, 0, FaultPolicy::FailFast, plan, &queries);
+    let mut engine = chaos_engine(config, 2, FaultPolicy::FailFast, plan, &queries);
 
     engine
         .process_batch(batches[0].clone())
@@ -419,8 +382,8 @@ fn degrade_keeps_serving_and_manual_respawn_restores() {
     let plan = FaultPlan::none().at(2, FaultKind::PanicShard { shard: 1 });
     let config = EngineConfig::mmqjp().with_retain_documents(false);
 
-    let mut degraded = chaos_engine(config.clone(), 4, 0, FaultPolicy::Degrade, plan, &queries);
-    let mut reference = sharded_engine_with_topology(config, 4, 0, &queries);
+    let mut degraded = chaos_engine(config.clone(), 4, FaultPolicy::Degrade, plan, &queries);
+    let mut reference = sharded_engine_with_queries(config, 4, &queries);
 
     for (index, batch) in batches.iter().enumerate() {
         if index == 6 {
@@ -451,39 +414,11 @@ fn degrade_keeps_serving_and_manual_respawn_restores() {
     assert_eq!(degraded.stats().unwrap().shards_respawned, 1);
 }
 
-/// Regression for the pipelined checkpoint/rollback: when collecting batch
-/// `k` fails *after* batch `k+1` was already staged, the staged batch must
-/// leave no trace — otherwise the front's document sequence drifts ahead of
-/// anything the shards (or a reference engine) ever saw.
+/// Poison input mid-stream under Quarantine: the stale document is skipped
+/// and recorded, every batch stays aligned, and output matches a reference
+/// that never saw the poison.
 #[test]
-fn collect_failure_rolls_back_the_staged_batch() {
-    let (queries, docs) = rss_workload(91, 12, 12);
-    let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
-    assert_eq!(batches.len(), 3);
-    let plan = FaultPlan::none().at(0, FaultKind::DropResponse { shard: 1 });
-    let mut config = EngineConfig::mmqjp().with_retain_documents(false);
-    config.enforce_in_order = true;
-    let mut engine = chaos_engine(config, 2, 2, FaultPolicy::FailFast, plan, &queries);
-
-    // Timeline: batch 0 is dispatched (with the fault); batch 1 is staged by
-    // the front; collecting batch 0 then discovers the dropped reply and
-    // fails — at which point batch 1 must be rolled back and batch 2 never
-    // reached.
-    let err = engine.process_batches(batches).unwrap_err();
-    assert!(matches!(err, CoreError::ShardUnavailable { shard: 1 }));
-    let front = engine.front_stats();
-    assert_eq!(
-        front.documents_processed, 4,
-        "only the dispatched batch may count; the staged one was rolled back"
-    );
-    assert_eq!(front.docs_parsed_once, 4);
-}
-
-/// Poison input mid-stream through the pipelined entry point under
-/// Quarantine: the stale document is skipped and recorded, every batch stays
-/// aligned, and output matches a reference that never saw the poison.
-#[test]
-fn pipelined_quarantine_skips_poison_and_stays_aligned() {
+fn quarantine_skips_poison_and_stays_aligned() {
     let (queries, docs) = rss_workload(93, 16, 24);
     let batches: Vec<Vec<Document>> = docs.chunks(3).map(<[_]>::to_vec).collect();
     let mut config = EngineConfig::mmqjp().with_retain_documents(false);
@@ -497,24 +432,33 @@ fn pipelined_quarantine_skips_poison_and_stays_aligned() {
     let mut chaos = chaos_engine(
         config.clone(),
         3,
-        2,
         FaultPolicy::Quarantine,
         FaultPlan::none(),
         &queries,
     );
-    let out = chaos
-        .process_batches(poisoned.clone())
-        .expect("poison is quarantined, not fatal");
+    let out: Vec<Vec<MatchOutput>> = poisoned
+        .iter()
+        .map(|b| {
+            chaos
+                .process_batch(b.clone())
+                .expect("poison is quarantined, not fatal")
+        })
+        .collect();
 
     let records = chaos.take_quarantine_records();
     assert_eq!(records.len(), 1);
     assert_eq!((records[0].batch, records[0].doc_index), (3, 1));
 
     let survivors = survivor_batches(&poisoned, &records);
-    let mut reference = sharded_engine_with_topology(config, 3, 2, &queries);
-    let expected = reference
-        .process_batches(survivors)
-        .expect("survivors are clean");
+    let mut reference = sharded_engine_with_queries(config, 3, &queries);
+    let expected: Vec<Vec<MatchOutput>> = survivors
+        .iter()
+        .map(|b| {
+            reference
+                .process_batch(b.clone())
+                .expect("survivors are clean")
+        })
+        .collect();
     assert_eq!(out, expected);
     assert_audit_clean_sharded(&chaos);
     assert_eq!(chaos.stats().unwrap().docs_quarantined, 1);

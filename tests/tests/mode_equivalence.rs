@@ -8,7 +8,7 @@
 use mmqjp_core::{EngineConfig, MmqjpEngine, ProcessingMode};
 use mmqjp_integration_tests::{
     all_modes, match_keys, run_stream, run_stream_sharded, run_stream_sorted,
-    sharded_engine_with_queries, sharded_engine_with_topology, SHARD_COUNTS,
+    sharded_engine_with_queries, SHARD_COUNTS,
 };
 use mmqjp_workload::{
     ChurnConfig, ChurnWorkload, ComplexSchemaWorkload, FlatSchemaWorkload, RssQueryGenerator,
@@ -63,52 +63,8 @@ fn assert_modes_agree_with(
                 "Sharded({num_shards}) diverges from single-engine {mode:?}"
             );
         }
-        // The hybrid topology (parse-once front stage + witness routing)
-        // must reproduce the same bytes again at every tested combination.
-        for &(front_pool, num_shards) in hybrid_combos_for(mode, docs.len()) {
-            let mut hybrid =
-                sharded_engine_with_topology(config.clone(), num_shards, front_pool, queries);
-            let hybrid_matches = run_stream_sharded(&mut hybrid, docs.to_vec());
-            assert_eq!(
-                hybrid_matches, matches,
-                "Hybrid(front {front_pool}, {num_shards} shards) diverges from \
-                 single-engine {mode:?}"
-            );
-        }
     }
     count
-}
-
-/// Hybrid `(front_pool, num_shards)` combinations to sweep for a given inner
-/// mode and stream length, budgeted like [`shard_counts_for`]. The full
-/// front-pool × shard-count cross product is certified by the dedicated
-/// sweep in `sharding.rs`; here each mode gets representative combinations
-/// covering every front-pool size and shard count between them.
-fn hybrid_combos_for(mode: ProcessingMode, num_docs: usize) -> &'static [(usize, usize)] {
-    let light = num_docs <= 60;
-    match mode {
-        ProcessingMode::Sequential => {
-            if light {
-                &[(2, 4)]
-            } else {
-                &[]
-            }
-        }
-        ProcessingMode::Mmqjp => {
-            if light {
-                &[(1, 1), (2, 4), (4, 7)]
-            } else {
-                &[(2, 2)]
-            }
-        }
-        ProcessingMode::MmqjpViewMat => {
-            if light {
-                &[(1, 2), (4, 4), (2, 7)]
-            } else {
-                &[(2, 4)]
-            }
-        }
-    }
 }
 
 /// Shard counts to sweep for a given inner mode and stream length.
@@ -367,25 +323,6 @@ fn batched_processing_agrees_across_modes() {
             assert_eq!(
                 sharded_matches, matches,
                 "Sharded({num_shards}) batched run diverges from {mode:?}"
-            );
-        }
-        // The hybrid topology's pipelined entry point (Stage 1 of batch k+1
-        // overlapping Stage 2 of batch k) must produce the same bytes,
-        // batch-aligned.
-        for &(front_pool, num_shards) in hybrid_combos_for(mode, docs.len()) {
-            let mut hybrid =
-                sharded_engine_with_topology(config.clone(), num_shards, front_pool, &queries);
-            let batches: Vec<Vec<Document>> = docs.chunks(30).map(<[_]>::to_vec).collect();
-            let hybrid_matches: Vec<_> = hybrid
-                .process_batches(batches)
-                .unwrap()
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_eq!(
-                hybrid_matches, matches,
-                "Hybrid(front {front_pool}, {num_shards} shards) pipelined run \
-                 diverges from {mode:?}"
             );
         }
     }

@@ -2,22 +2,21 @@
 //! engine's end-to-end invariants.
 
 use mmqjp_core::{
-    sort_matches, EngineConfig, MmqjpEngine, ProcessingMode, ShardedEngine, WitnessBatch,
-    WitnessRouter,
+    sort_matches, EngineConfig, MatchOutput, MmqjpEngine, ProcessingMode, ShardedEngine,
 };
 use mmqjp_integration_tests::{match_keys, run_stream};
 use mmqjp_relational::{
     ops, Atom, ChunkedRows, ConjunctiveQuery, Database, ExecScratch, PhysicalPlan, PlanInput,
-    Relation, Schema, SegmentedRelation, StringInterner, Term, Value,
+    Relation, Schema, SegmentedRelation, Term, Value,
 };
-use mmqjp_xml::{parse_document, serialize, DocId, Document, DocumentBuilder, Timestamp};
-use mmqjp_xpath::{PatternId, PatternIndex, PatternNodeId};
+use mmqjp_workload::{RssQueryGenerator, RssStreamConfig, RssStreamGenerator};
+use mmqjp_xml::{parse_document, serialize, Document, DocumentBuilder, Timestamp};
 use mmqjp_xscl::{
     normalize_query, parse_query, JoinGraph, ReducedGraph, TemplateCatalog, ValueJoin,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
-use std::sync::Arc;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -376,158 +375,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Witness routing (hybrid sharding)
-// ---------------------------------------------------------------------------
-
-/// The witness rows of a batch as a sorted multiset of rendered rows.
-/// Routing may append a pattern's rows in a different order than direct
-/// evaluation (the subscribed edge list is merge-ordered, the requested map
-/// insertion-ordered), so batches are compared order-insensitively.
-fn witness_multiset(batch: &WitnessBatch) -> Vec<String> {
-    let mut rows: Vec<String> = batch
-        .rbin_w
-        .iter()
-        .map(|t| format!("bin{:?}", t.to_vec()))
-        .chain(batch.rdoc_w.iter().map(|t| format!("doc{:?}", t.to_vec())))
-        .collect();
-    rows.sort();
-    rows
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The hybrid topology's routing theorem: for any query population,
-    /// shard assignment and document stream, the witness rows routed to a
-    /// shard are exactly the rows that shard would have derived by running
-    /// Stage 1 over its own requested-edge map — rows partition along the
-    /// subscription map, nothing is duplicated or lost. A row reaches a
-    /// shard if and only if one of the shard's own patterns derives it, and
-    /// the union across shards is exactly the single-engine Stage-1 output.
-    #[test]
-    fn witness_routing_is_a_partition_of_stage1_output(
-        query_texts in prop::collection::vec(flat_query_strategy(), 1..8),
-        mut docs in prop::collection::vec(flat_document_strategy(), 1..5),
-        num_shards in 1usize..6,
-    ) {
-        for (i, d) in docs.iter_mut().enumerate() {
-            d.set_id(DocId(i as u64 + 1));
-            d.set_timestamp(Timestamp((i as u64 + 1) * 10));
-        }
-
-        // Harvest each query's (pattern, requested edges) registrations from
-        // a scratch engine, exactly as the sharded front stage does, and
-        // build the merged pattern set + router for a round-robin shard
-        // assignment (the routing theorem must hold for any assignment).
-        let mut engine = MmqjpEngine::new(EngineConfig::mmqjp());
-        let mut ids = Vec::new();
-        for t in &query_texts {
-            ids.push(engine.register_query_text(t).unwrap());
-        }
-        let mut index = PatternIndex::new();
-        let mut union_req: HashMap<PatternId, Vec<(PatternNodeId, PatternNodeId)>> =
-            HashMap::new();
-        let mut shard_req: Vec<HashMap<PatternId, Vec<(PatternNodeId, PatternNodeId)>>> =
-            vec![HashMap::new(); num_shards];
-        let mut router = WitnessRouter::new();
-        let mut everything = WitnessRouter::new();
-        for (i, id) in ids.iter().enumerate() {
-            let shard = i % num_shards;
-            for reg in &engine.registry().query(*id).unwrap().registrations {
-                for (pattern, edges) in [
-                    (&reg.prev_pattern, &reg.prev_edges),
-                    (&reg.cur_pattern, &reg.cur_edges),
-                ] {
-                    let pid = index.register(pattern.clone());
-                    for req in [
-                        union_req.entry(pid).or_default(),
-                        shard_req[shard].entry(pid).or_default(),
-                    ] {
-                        for e in edges {
-                            if !req.contains(e) {
-                                req.push(*e);
-                            }
-                        }
-                    }
-                    router.subscribe(shard, pid, edges);
-                    everything.subscribe(0, pid, edges);
-                }
-            }
-        }
-
-        // Route every document's Stage-1 output; `everything` plays the
-        // single-engine reference (one shard subscribed to it all).
-        let interner = Arc::new(StringInterner::new());
-        let mut routed: Vec<WitnessBatch> =
-            (0..num_shards).map(|_| WitnessBatch::new()).collect();
-        let mut global = vec![WitnessBatch::new()];
-        for doc in &docs {
-            let bindings = index.evaluate_edge_bindings(doc, &union_req);
-            router
-                .route_document(doc, &bindings, &index, &interner, &mut routed)
-                .unwrap();
-            everything
-                .route_document(doc, &bindings, &index, &interner, &mut global)
-                .unwrap();
-        }
-
-        // Every shard sees every document's retention-ledger row, witnesses
-        // or not — window pruning depends on it.
-        for batch in &routed {
-            prop_assert_eq!(batch.rdoc_ts_w.len(), docs.len());
-            prop_assert_eq!(batch.doc_ids.len(), docs.len());
-        }
-
-        // Each shard's routed rows are exactly what it would self-derive
-        // from its own requested-edge map. (Patterns absent from a map get
-        // the all-edges fallback, so the self-derived evaluation must drop
-        // bindings of patterns the shard never requested.)
-        for (shard, req) in shard_req.iter().enumerate() {
-            let mut derived = WitnessBatch::new();
-            for doc in &docs {
-                let bindings: Vec<_> = index
-                    .evaluate_edge_bindings(doc, req)
-                    .into_iter()
-                    .filter(|(pid, _)| req.contains_key(pid))
-                    .collect();
-                let with_patterns: Vec<_> = bindings
-                    .iter()
-                    .map(|(pid, b)| (index.pattern(*pid), b.clone()))
-                    .collect();
-                derived.add_document(doc, &with_patterns, &interner).unwrap();
-            }
-            prop_assert_eq!(
-                witness_multiset(&routed[shard]),
-                witness_multiset(&derived),
-                "shard {} routed rows diverge from self-derived Stage-1",
-                shard
-            );
-        }
-
-        // Nothing is lost or invented: the set union of routed rows equals
-        // the single-subscriber reference's rows. (Set, not multiset:
-        // structurally distinct patterns share canonical variables, so two
-        // patterns on different shards may each legitimately derive the same
-        // witness row — the reference's per-document dedup collapses those
-        // into one row while every subscribing shard keeps its own copy.)
-        let mut union_rows: Vec<String> = routed.iter().flat_map(witness_multiset).collect();
-        union_rows.sort();
-        union_rows.dedup();
-        prop_assert_eq!(
-            union_rows,
-            witness_multiset(&global[0]),
-            "routed union diverges from the single-engine Stage-1 output"
-        );
-
-        // Degenerate exact partition: one shard must receive the reference
-        // output row for row.
-        if num_shards == 1 {
-            prop_assert_eq!(witness_multiset(&routed[0]), witness_multiset(&global[0]));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Engine-level properties
 // ---------------------------------------------------------------------------
 
@@ -771,9 +618,9 @@ proptest! {
 
     /// The invariant auditor itself, fuzzed: replay a random
     /// register/unregister/batch interleaving against a single engine and a
-    /// hybrid sharded engine, auditing after *every* operation — any
-    /// refcount drift, index corruption, or router desync shows up at the
-    /// first operation that introduces it.
+    /// sharded engine, auditing after *every* operation — any refcount
+    /// drift, index corruption, or coordinator desync shows up at the first
+    /// operation that introduces it.
     #[test]
     fn invariant_audit_stays_clean_under_random_churn(
         raw_ops in prop::collection::vec(
@@ -786,14 +633,11 @@ proptest! {
             1..12,
         ),
         num_shards in 1usize..5,
-        front_pool in 0usize..3,
     ) {
         let ops = decode_churn_ops(raw_ops);
         let config = EngineConfig::mmqjp().with_retain_documents(false);
         let mut single = MmqjpEngine::new(config.clone());
-        let mut sharded = ShardedEngine::new(
-            config.with_num_shards(num_shards).with_front_pool(front_pool),
-        );
+        let mut sharded = ShardedEngine::new(config.with_num_shards(num_shards));
         let mut live: Vec<mmqjp_xscl::QueryId> = Vec::new();
         let mut ts = 0u64;
         for (step, op) in ops.iter().enumerate() {
@@ -830,8 +674,8 @@ proptest! {
             let violations = sharded.audit().unwrap();
             prop_assert!(
                 violations.is_empty(),
-                "sharded audit failed after op #{} ({} shards, front {}): {:?}",
-                step, num_shards, front_pool, violations
+                "sharded audit failed after op #{} ({} shards): {:?}",
+                step, num_shards, violations
             );
         }
     }
@@ -934,5 +778,156 @@ fn corrupted_rss_documents_fail_typed_and_parsers_agree() {
     for seed in 0..512u64 {
         check_parsers_on_corrupt_bytes(&d1, seed);
         check_parsers_on_corrupt_bytes(&d2, seed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Batch semantics
+// ---------------------------------------------------------------------------
+
+/// Single-block subscriptions registered next to the generated join
+/// queries, so the batch theorem also covers matches that involve one
+/// document only.
+const SINGLE_BLOCK_SUBSCRIPTIONS: [&str; 2] = ["S//item[.//title]", "S//channel[.//link]"];
+
+/// A single engine or a two-shard engine behind one batch entry point,
+/// returning each batch's matches in canonical order.
+enum BatchEngine {
+    Single(Box<MmqjpEngine>),
+    Sharded(Box<ShardedEngine>),
+}
+
+impl BatchEngine {
+    fn new(num_shards: usize, queries: &[mmqjp_xscl::XsclQuery]) -> Self {
+        let config = EngineConfig::mmqjp().with_retain_documents(false);
+        let mut engine = if num_shards > 1 {
+            BatchEngine::Sharded(Box::new(ShardedEngine::new(
+                config.with_num_shards(num_shards),
+            )))
+        } else {
+            BatchEngine::Single(Box::new(MmqjpEngine::new(config)))
+        };
+        for q in queries {
+            match &mut engine {
+                BatchEngine::Single(e) => e.register_query(q.clone()).map(|_| ()),
+                BatchEngine::Sharded(e) => e.register_query(q.clone()).map(|_| ()),
+            }
+            .expect("query registers");
+        }
+        for text in SINGLE_BLOCK_SUBSCRIPTIONS {
+            match &mut engine {
+                BatchEngine::Single(e) => e.register_query_text(text).map(|_| ()),
+                BatchEngine::Sharded(e) => e.register_query_text(text).map(|_| ()),
+            }
+            .expect("subscription registers");
+        }
+        engine
+    }
+
+    fn process_batch(&mut self, docs: Vec<Document>) -> Vec<MatchOutput> {
+        let mut out = match self {
+            BatchEngine::Single(e) => e.process_batch(docs),
+            BatchEngine::Sharded(e) => e.process_batch(docs),
+        }
+        .expect("batch processes");
+        sort_matches(&mut out);
+        out
+    }
+
+    fn process_document(&mut self, doc: Document) -> Vec<MatchOutput> {
+        let mut out = match self {
+            BatchEngine::Single(e) => e.process_document(doc),
+            BatchEngine::Sharded(e) => e.process_document(doc),
+        }
+        .expect("document processes");
+        sort_matches(&mut out);
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The batch semantics as a theorem, over random RSS streams and random
+    /// batch splits, on a single engine and on a two-shard engine:
+    ///
+    /// 1. a batch of one document is exactly `process_document`;
+    /// 2. for any split, the batched output is the per-document output
+    ///    minus exactly the join matches whose two documents fall in the
+    ///    same batch. Single-block matches (one document on both sides) are
+    ///    never lost.
+    #[test]
+    fn batched_output_is_per_document_output_minus_intra_batch_pairs(
+        stream_seed in 0u64..1_000,
+        query_seed in 0u64..1_000,
+        items in 4usize..24,
+        sizes in prop::collection::vec(1usize..6, 1..8),
+    ) {
+        let mut rng = StdRng::seed_from_u64(query_seed);
+        let queries = RssQueryGenerator::new(0.8).generate_queries(10, &mut rng);
+        let docs = RssStreamGenerator::new(RssStreamConfig {
+            items,
+            channels: 3,
+            title_vocabulary: 4,
+            description_vocabulary: 5,
+            seed: stream_seed,
+            ..RssStreamConfig::default()
+        })
+        .documents();
+
+        // Cut the stream into batches, cycling through the drawn sizes.
+        let mut batches: Vec<Vec<Document>> = Vec::new();
+        let mut rest = docs.as_slice();
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at(size.min(rest.len()));
+            batches.push(head.to_vec());
+            rest = tail;
+        }
+        // Documents get arrival sequence numbers 1..=n under any batching,
+        // so document `id` sits in batch `batch_of[id - 1]`.
+        let batch_of: Vec<usize> = batches
+            .iter()
+            .enumerate()
+            .flat_map(|(b, batch)| std::iter::repeat(b).take(batch.len()))
+            .collect();
+        let same_batch = |m: &MatchOutput| {
+            m.left_doc != m.right_doc
+                && batch_of[m.left_doc.raw() as usize - 1]
+                    == batch_of[m.right_doc.raw() as usize - 1]
+        };
+
+        for num_shards in [1usize, 2] {
+            // (1) Batch of one ≡ process_document, document by document.
+            let mut per_doc = BatchEngine::new(num_shards, &queries);
+            let mut singletons = BatchEngine::new(num_shards, &queries);
+            let mut expected = Vec::new();
+            for doc in &docs {
+                let a = per_doc.process_document(doc.clone());
+                let b = singletons.process_batch(vec![doc.clone()]);
+                prop_assert_eq!(&a, &b, "batch of one diverged ({} shards)", num_shards);
+                expected.extend(a);
+            }
+
+            // (2) Any split loses exactly the intra-batch pairs.
+            let mut batched = BatchEngine::new(num_shards, &queries);
+            let mut got: Vec<MatchOutput> = batches
+                .iter()
+                .flat_map(|batch| batched.process_batch(batch.clone()))
+                .collect();
+            expected.retain(|m| !same_batch(m));
+            sort_matches(&mut expected);
+            sort_matches(&mut got);
+            prop_assert_eq!(
+                got,
+                expected,
+                "batched output is not per-document output minus intra-batch pairs \
+                 ({} shards, batches {:?})",
+                num_shards,
+                batches.iter().map(Vec::len).collect::<Vec<_>>()
+            );
+        }
     }
 }

@@ -4,8 +4,7 @@
 
 use mmqjp_core::{CoreError, EngineConfig, EngineStats, MmqjpEngine, ShardedEngine};
 use mmqjp_integration_tests::{
-    all_modes, d1, d2, run_stream_sharded, sharded_engine_with_queries,
-    sharded_engine_with_topology, FRONT_POOLS, Q1, SHARD_COUNTS,
+    all_modes, d1, d2, run_stream_sharded, sharded_engine_with_queries, Q1, SHARD_COUNTS,
 };
 use mmqjp_workload::{
     ChurnConfig, ChurnWorkload, RssQueryGenerator, RssStreamConfig, RssStreamGenerator,
@@ -54,6 +53,29 @@ fn sharded_output_is_deterministic_across_interleavings() {
     }
 }
 
+/// Batched sharded output is deterministic across thread interleavings too:
+/// the stream is fed in batches of ten, and each batch's merged output must
+/// be identical run to run.
+#[test]
+fn batched_output_is_deterministic_across_interleavings() {
+    let (queries, docs) = rss_workload(45, 60, 50);
+    let run = || {
+        let config = EngineConfig::mmqjp_view_mat().with_retain_documents(false);
+        let mut engine = sharded_engine_with_queries(config, 4, &queries);
+        docs.chunks(10)
+            .map(|chunk| engine.process_batch(chunk.to_vec()).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let first = run();
+    assert!(
+        first.iter().any(|b| !b.is_empty()),
+        "the workload must produce matches"
+    );
+    for attempt in 0..3 {
+        assert_eq!(first, run(), "run {attempt} diverged");
+    }
+}
+
 /// Per-shard statistics sum exactly to the aggregate — no counter is dropped
 /// or double-counted — and the query/document accounting matches the
 /// replicate-documents / partition-queries design.
@@ -79,12 +101,12 @@ fn shard_stats_sum_to_aggregate() {
 }
 
 // ---------------------------------------------------------------------------
-// Hybrid topology: the full front-pool × shard-count × mode sweep
+// The full shard-count × mode sweep over batched streams
 // ---------------------------------------------------------------------------
 
 /// Run `docs` in batches of `batch` through a single engine in `config`'s
 /// mode, sorting each batch canonically — the byte-level reference every
-/// topology must reproduce.
+/// shard count must reproduce.
 fn single_engine_reference(
     config: &EngineConfig,
     queries: &[mmqjp_xscl::XsclQuery],
@@ -104,12 +126,11 @@ fn single_engine_reference(
     out
 }
 
-/// Sweep every front-pool size × shard count × mode over a scenario and
-/// assert (a) the pipelined hybrid output is byte-identical to the single
-/// engine's canonically-ordered batches and (b) the statistics decompose
-/// exactly into shard sums plus front-stage stats, with each document
-/// parsed exactly once.
-fn assert_hybrid_sweep_matches_single_engine(
+/// Sweep every shard count × mode over a scenario and assert (a) the
+/// batched sharded output is byte-identical to the single engine's
+/// canonically-ordered batches and (b) the statistics decompose exactly
+/// into shard sums, with every document processed by every shard.
+fn assert_sweep_matches_single_engine(
     queries: &[mmqjp_xscl::XsclQuery],
     docs: &[Document],
     batch: usize,
@@ -124,40 +145,28 @@ fn assert_hybrid_sweep_matches_single_engine(
             .with_retain_documents(false),
         );
         let expected = single_engine_reference(&config, queries, docs, batch);
-        for &front_pool in &FRONT_POOLS {
-            for &num_shards in &SHARD_COUNTS {
-                let mut hybrid =
-                    sharded_engine_with_topology(config.clone(), num_shards, front_pool, queries);
-                let batches: Vec<Vec<Document>> = docs.chunks(batch).map(<[_]>::to_vec).collect();
-                let num_batches = batches.len();
-                let results = hybrid.process_batches(batches).unwrap();
-                assert_eq!(results.len(), num_batches, "a batch was dropped");
-                let got: Vec<_> = results.into_iter().flatten().collect();
-                assert_eq!(
-                    got, expected,
-                    "{mode:?} hybrid(front {front_pool}, {num_shards} shards) diverges"
-                );
-
-                // Exact stats decomposition: aggregate == shard sum + front.
-                let per_shard = hybrid.shard_stats().unwrap();
-                let front = hybrid.front_stats();
-                let total = hybrid.stats().unwrap();
-                let shard_sum: EngineStats = per_shard.iter().copied().sum();
-                assert_eq!(total, shard_sum + front);
-                // Parse-once accounting: each document is parsed and counted
-                // exactly once, at the front — never per shard.
-                assert_eq!(front.docs_parsed_once, docs.len());
-                assert_eq!(total.documents_processed, docs.len());
-                assert!(per_shard.iter().all(|s| s.documents_processed == 0));
-                assert_eq!(total.results_emitted, expected.len());
+        for &num_shards in &SHARD_COUNTS {
+            let mut sharded = sharded_engine_with_queries(config.clone(), num_shards, queries);
+            let mut got = Vec::new();
+            for chunk in docs.chunks(batch) {
+                got.extend(sharded.process_batch(chunk.to_vec()).unwrap());
             }
+            assert_eq!(got, expected, "{mode:?} Sharded({num_shards}) diverges");
+
+            // Exact stats decomposition: aggregate == shard sum.
+            let per_shard = sharded.shard_stats().unwrap();
+            let total = sharded.stats().unwrap();
+            let shard_sum: EngineStats = per_shard.iter().copied().sum();
+            assert_eq!(total, shard_sum);
+            assert_eq!(total.documents_processed, docs.len() * num_shards);
+            assert_eq!(total.results_emitted, expected.len());
         }
     }
 }
 
 #[test]
-fn hybrid_sweep_on_windowed_rss_stream() {
-    // Finite windows exercise the temporal filter through routed batches.
+fn sharded_sweep_on_windowed_rss_stream() {
+    // Finite windows exercise the temporal filter on every shard.
     let generator = RssQueryGenerator::new(0.8).with_window(mmqjp_xscl::Window::Time(15));
     let mut rng = StdRng::seed_from_u64(44);
     let queries = generator.generate_queries(20, &mut rng);
@@ -169,14 +178,13 @@ fn hybrid_sweep_on_windowed_rss_stream() {
         ..RssStreamConfig::default()
     })
     .documents();
-    assert_hybrid_sweep_matches_single_engine(&queries, &docs, 7, |c| c);
+    assert_sweep_matches_single_engine(&queries, &docs, 7, |c| c);
 }
 
 #[test]
-fn hybrid_sweep_on_churn_stream_with_pruning() {
+fn sharded_sweep_on_churn_stream_with_pruning() {
     // The sustained-operation scenario: heterogeneous windows with
-    // incremental state expiry active, so shard-side retention bookkeeping
-    // runs from routed ledger rows rather than shard-local Stage-1 output.
+    // incremental state expiry active on every shard.
     let workload = ChurnWorkload::new(ChurnConfig {
         items: 40,
         num_queries: 18,
@@ -185,30 +193,7 @@ fn hybrid_sweep_on_churn_stream_with_pruning() {
     });
     let queries = workload.queries();
     let docs = workload.documents();
-    assert_hybrid_sweep_matches_single_engine(&queries, &docs, 9, |c| {
-        c.with_prune_state_by_window(true)
-    });
-}
-
-/// Hybrid merged output is deterministic across thread interleavings, like
-/// the replicated topology.
-#[test]
-fn hybrid_output_is_deterministic_across_interleavings() {
-    let (queries, docs) = rss_workload(45, 60, 50);
-    let run = || {
-        let config = EngineConfig::mmqjp_view_mat().with_retain_documents(false);
-        let mut engine = sharded_engine_with_topology(config, 4, 2, &queries);
-        let batches: Vec<Vec<Document>> = docs.chunks(10).map(<[_]>::to_vec).collect();
-        engine.process_batches(batches).unwrap()
-    };
-    let first = run();
-    assert!(
-        first.iter().any(|b| !b.is_empty()),
-        "the workload must produce matches"
-    );
-    for attempt in 0..3 {
-        assert_eq!(first, run(), "run {attempt} diverged");
-    }
+    assert_sweep_matches_single_engine(&queries, &docs, 9, |c| c.with_prune_state_by_window(true));
 }
 
 // ---------------------------------------------------------------------------
@@ -247,19 +232,9 @@ fn zero_registered_queries_absorb_documents() {
 
         // Every shard of a query-less sharded engine is an empty shard; the
         // engine must still ingest state cleanly.
-        let mut sharded = ShardedEngine::new(config.clone().with_num_shards(4));
+        let mut sharded = ShardedEngine::new(config.with_num_shards(4));
         assert!(sharded.process_batch(vec![d1(), d2()]).unwrap().is_empty());
         assert_eq!(sharded.stats().unwrap().documents_processed, 2 * 4);
-
-        // Hybrid with zero queries: the router has no subscriptions, so the
-        // shards receive only ledger rows — and each document is still
-        // parsed and counted exactly once.
-        let mut hybrid = ShardedEngine::new(config.with_num_shards(4).with_front_pool(2));
-        assert!(hybrid.process_batch(vec![d1(), d2()]).unwrap().is_empty());
-        let stats = hybrid.stats().unwrap();
-        assert_eq!(stats.documents_processed, 2);
-        assert_eq!(stats.docs_parsed_once, 2);
-        assert_eq!(stats.witnesses_routed, 0);
     }
 }
 
@@ -299,24 +274,6 @@ fn single_block_only_query_sets_match_on_both_engines() {
                 got.extend(sharded.process_batch(vec![doc]).unwrap());
             }
             assert_eq!(got, expected, "Sharded({num_shards}) diverges");
-
-            // Hybrid: single-block subscriptions are answered entirely at
-            // the front stage (Stage 2 never sees them); same bytes.
-            let mut hybrid = ShardedEngine::new(
-                config
-                    .clone()
-                    .with_num_shards(num_shards)
-                    .with_front_pool(2),
-            );
-            for s in subscriptions {
-                hybrid.register_query_text(s).unwrap();
-            }
-            let mut got = Vec::new();
-            for doc in [d1(), d2()] {
-                got.extend(hybrid.process_batch(vec![doc]).unwrap());
-            }
-            assert_eq!(got, expected, "Hybrid({num_shards}) diverges");
-            assert_eq!(hybrid.front_stats().results_emitted, expected.len());
         }
     }
 }

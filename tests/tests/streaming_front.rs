@@ -1,6 +1,6 @@
-//! Certification of the streaming single-pass front end.
+//! Certification of the streaming single-pass Stage 1.
 //!
-//! Two properties anchor the tentpole:
+//! Two properties anchor it:
 //!
 //! 1. **Parser differential** (proptest): the pull parser — both when it
 //!    builds a DOM (`parse_document_streaming`) and when it feeds the fused
@@ -9,18 +9,15 @@
 //!    DOM parser on randomly generated documents exercising CDATA sections,
 //!    numeric character references, comments, self-closing elements and
 //!    attributes.
-//! 2. **Front-end sweep**: every processing mode × both sharded topologies
-//!    × streaming front on/off produces byte-identical match output on the
-//!    RSS join workload and on single-block subscriptions.
+//! 2. **Stage-1 oracle differential** (proptest): the edge bindings and
+//!    single-block witnesses the engine derives from one shared automaton
+//!    pass equal those of the per-pattern DOM matcher, which is kept as the
+//!    test oracle for the pass.
 
-use mmqjp_core::{EngineConfig, MmqjpEngine, ShardedEngine};
-use mmqjp_integration_tests::{all_modes, match_keys, run_stream_sharded, run_stream_sorted};
-use mmqjp_workload::{RssQueryGenerator, RssStreamConfig, RssStreamGenerator};
-use mmqjp_xml::{parse_document, parse_document_streaming};
-use mmqjp_xpath::{parse_pattern, PatternIndex};
+use mmqjp_xml::{parse_document, parse_document_streaming, serialize};
+use mmqjp_xpath::{parse_pattern, PatternIndex, PatternMatcher, PatternNodeId, TreePattern};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
 // Random XML documents for the parser differential
@@ -171,118 +168,106 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Mode × topology × front-end sweep
+// Shared automaton pass vs the per-pattern DOM oracle
 // ---------------------------------------------------------------------------
 
-/// Byte-identical match output across all three processing modes, both
-/// sharded topologies and both Stage-1 front ends on the RSS join workload.
-#[test]
-fn match_output_identical_across_modes_topologies_and_fronts() {
-    let generator = RssQueryGenerator::new(0.8);
-    let mut rng = StdRng::seed_from_u64(21);
-    let queries = generator.generate_queries(16, &mut rng);
-    let docs = RssStreamGenerator::new(RssStreamConfig {
-        items: 60,
-        ..RssStreamConfig::default()
-    })
-    .documents();
+/// Join-side patterns over the random-document vocabulary, with variables
+/// so their edge bindings are meaningful.
+const JOIN_PATTERNS: [&str; 5] = [
+    "S//r->root[.//t0->a]",
+    "S//t1->x[.//t2->y]",
+    "S//t0->e[.//t3->f][.//t4->g]",
+    "S//t2->p[.//t5->q[.//t1->z]]",
+    "S//r->r1[.//t5->v]",
+];
 
-    let mut reference: Option<Vec<_>> = None;
-    for streaming in [true, false] {
-        for mode in all_modes() {
-            let config = EngineConfig {
-                mode,
-                ..EngineConfig::default()
-            }
-            .with_retain_documents(false)
-            .with_streaming_front(streaming);
-            let mut engine = MmqjpEngine::new(config.clone());
-            for q in &queries {
-                engine.register_query(q.clone()).expect("query registers");
-            }
-            let matches = run_stream_sorted(&mut engine, docs.clone());
-            let keys = match_keys(&matches);
-            assert!(!keys.is_empty(), "sweep workload must produce matches");
-            match &reference {
-                None => reference = Some(keys),
-                Some(r) => assert_eq!(
-                    r, &keys,
-                    "single-engine {mode:?} (streaming={streaming}) diverges"
-                ),
-            }
-            for (topology, front_pool) in [("replicated", 0), ("hybrid", 2)] {
-                let mut sharded = ShardedEngine::new(
-                    config
-                        .clone()
-                        .with_num_shards(4)
-                        .with_front_pool(front_pool),
-                );
-                for q in &queries {
-                    sharded.register_query(q.clone()).expect("query registers");
-                }
-                let sharded_matches = run_stream_sharded(&mut sharded, docs.clone());
-                assert_eq!(
-                    sharded_matches, matches,
-                    "{topology} topology diverges from single-engine {mode:?} \
-                     (streaming={streaming})"
-                );
-            }
+/// Single-block subscription patterns (no variables), as registered for
+/// join-free queries.
+const SINGLE_PATTERNS: [&str; 4] = [
+    "S//t0[.//t1]",
+    "S//t2[.//t3][.//t4]",
+    "S//t5",
+    "S//r[.//t0[.//t2]]",
+];
+
+/// Every (ancestor-or-self, descendant) pair of pattern nodes — the shape
+/// of a requested edge, which may skip levels or be a self-edge.
+fn requestable_edges(pattern: &TreePattern) -> Vec<(PatternNodeId, PatternNodeId)> {
+    let mut edges = Vec::new();
+    for d in pattern.node_ids() {
+        let mut a = Some(d);
+        while let Some(anc) = a {
+            edges.push((anc, d));
+            a = pattern.node(anc).parent();
         }
     }
+    edges
 }
 
-/// Single-block subscriptions — answered straight from Stage 1, and at the
-/// front stage in the hybrid topology — are byte-identical under both front
-/// ends too.
-#[test]
-fn single_block_output_identical_across_fronts() {
-    let subscriptions = [
-        "S//item[.//title]",
-        "S//channel[.//item]",
-        "S//item[.//enclosure_url]",
-    ];
-    let docs = RssStreamGenerator::new(RssStreamConfig {
-        items: 30,
-        ..RssStreamConfig::default()
-    })
-    .documents();
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    let mut reference: Option<Vec<_>> = None;
-    for streaming in [true, false] {
-        for mode in all_modes() {
-            let config = EngineConfig {
-                mode,
-                ..EngineConfig::default()
+    /// Edge bindings derived from one shared automaton pass equal the
+    /// per-pattern DOM matcher's for any requested-edge map: patterns with
+    /// a random subset of their requestable edges, and patterns with no
+    /// entry at all (which fall back to every adjacent edge).
+    #[test]
+    fn edge_bindings_from_pass_equal_dom_oracle(
+        ops in ops_strategy(),
+        picks in prop::collection::vec(0usize..4, 0..80),
+    ) {
+        let doc = parse_document(&render_xml(&ops)).expect("DOM parser accepts rendered doc");
+        let mut index = PatternIndex::new();
+        let mut requested = HashMap::new();
+        let mut picks = picks.into_iter();
+        for text in JOIN_PATTERNS {
+            let pattern = parse_pattern(text).expect("pattern parses");
+            let edges = requestable_edges(&pattern);
+            let pid = index.register(pattern);
+            // A quarter of the patterns get no entry; the rest request each
+            // requestable edge with probability one half.
+            if picks.next().unwrap_or(0) == 0 {
+                continue;
             }
-            .with_streaming_front(streaming);
-            let mut engine = MmqjpEngine::new(config.clone());
-            for s in subscriptions {
-                engine
-                    .register_query_text(s)
-                    .expect("subscription registers");
-            }
-            let matches = run_stream_sorted(&mut engine, docs.clone());
-            assert!(!matches.is_empty(), "subscriptions must fire");
-            let keys = match_keys(&matches);
-            match &reference {
-                None => reference = Some(keys),
-                Some(r) => assert_eq!(
-                    r, &keys,
-                    "single-block output diverges for {mode:?} (streaming={streaming})"
-                ),
-            }
-            let mut hybrid =
-                ShardedEngine::new(config.clone().with_num_shards(3).with_front_pool(2));
-            for s in subscriptions {
-                hybrid
-                    .register_query_text(s)
-                    .expect("subscription registers");
-            }
-            let hybrid_matches = run_stream_sharded(&mut hybrid, docs.clone());
-            assert_eq!(
-                hybrid_matches, matches,
-                "hybrid front single-block output diverges for {mode:?} \
-                 (streaming={streaming})"
+            let chosen: Vec<_> = edges
+                .into_iter()
+                .filter(|_| picks.next().unwrap_or(1) % 2 == 1)
+                .collect();
+            requested.insert(pid, chosen);
+        }
+        let pass = index.shared_pass(&doc);
+        let streamed = index.edge_bindings_from_pass(&doc, &requested, &pass);
+        let oracle = index.evaluate_edge_bindings(&doc, &requested);
+        prop_assert_eq!(streamed, oracle, "edge bindings diverged on: {}", serialize(&doc));
+    }
+
+    /// Single-block witnesses enumerated from a shared pass's useful sets
+    /// equal the DOM matcher's `witnesses`, including the empty answer when
+    /// the pattern's root set is empty.
+    #[test]
+    fn witnesses_from_useful_equal_dom_oracle(ops in ops_strategy()) {
+        let doc = parse_document(&render_xml(&ops)).expect("DOM parser accepts rendered doc");
+        let mut index = PatternIndex::new();
+        let pids: Vec<_> = SINGLE_PATTERNS
+            .iter()
+            .chain(JOIN_PATTERNS.iter())
+            .map(|text| index.register(parse_pattern(text).expect("pattern parses")))
+            .collect();
+        let pass = index.shared_pass(&doc);
+        for pid in pids {
+            let matcher = PatternMatcher::new(index.pattern(pid));
+            let streamed = match pass.useful(pid) {
+                Some(useful) if useful.first().is_some_and(|roots| !roots.is_empty()) => {
+                    matcher.witnesses_from_useful(&doc, useful)
+                }
+                _ => Vec::new(),
+            };
+            prop_assert_eq!(
+                streamed,
+                matcher.witnesses(&doc),
+                "witnesses of pattern {:?} diverged on: {}",
+                pid,
+                serialize(&doc)
             );
         }
     }

@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Four dependency-free static checks over the workspace sources:
+//! Five dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -17,6 +17,10 @@
 //! 4. **Bench env-var consistency** — every `MMQJP_BENCH_*` variable set in
 //!    `.github/workflows/ci.yml` must be referenced somewhere under
 //!    `crates/bench`, so CI knobs cannot silently rot.
+//! 5. **No hidden env-var knobs** — non-test code in the library crates
+//!    (`core`, `relational`, `xpath`, `xml`, `xscl`) must not read the
+//!    process environment (`std::env::var` and friends), so every runtime
+//!    option is set through `EngineConfig` and shows up in code review.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -55,6 +59,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_forbid_unsafe(root, &mut violations);
     check_stats_parity(root, &mut violations);
     check_bench_env_vars(root, &mut violations);
+    check_no_env_reads(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -105,33 +110,45 @@ fn scan_file_for_panics(root: &Path, file: &Path, out: &mut Vec<String>) {
         out.push(format!("{}: unreadable", rel(root, file)));
         return;
     };
+    for (number, line, prev) in non_test_code(&text) {
+        let waived = line.contains("lint:allow") || prev.contains("lint:allow");
+        if waived {
+            continue;
+        }
+        for pat in BANNED {
+            if line.contains(pat) {
+                out.push(format!(
+                    "{}:{}: `{}` in non-test code (add `// lint:allow <reason>` if the invariant is airtight)",
+                    rel(root, file),
+                    number,
+                    pat
+                ));
+            }
+        }
+    }
+}
+
+/// The non-comment lines of a source file's non-test code, as
+/// `(1-based line number, line, previous line)`. Everything from
+/// `#[cfg(test)] mod tests` onward is test code; the unit-test modules in
+/// this workspace are the trailing item of their files. An inline
+/// `#[cfg(test)]` attribute on a single method must NOT stop the scan, so
+/// only the module form ends it.
+fn non_test_code(text: &str) -> Vec<(usize, &str, &str)> {
+    let mut lines = Vec::new();
     let mut prev: &str = "";
     for (idx, line) in text.lines().enumerate() {
-        // Everything from `#[cfg(test)] mod tests` onward is test code; the
-        // unit-test modules in this workspace are the trailing item of their
-        // files. An inline `#[cfg(test)]` attribute on a single method must
-        // NOT stop the scan, so only the module form ends it.
         if prev.trim_start().starts_with("#[cfg(test)]")
             && line.trim_start().starts_with("mod tests")
         {
             break;
         }
-        let waived = line.contains("lint:allow") || prev.contains("lint:allow");
-        let trimmed = line.trim_start();
-        if !trimmed.starts_with("//") && !waived {
-            for pat in BANNED {
-                if line.contains(pat) {
-                    out.push(format!(
-                        "{}:{}: `{}` in non-test code (add `// lint:allow <reason>` if the invariant is airtight)",
-                        rel(root, file),
-                        idx + 1,
-                        pat
-                    ));
-                }
-            }
+        if !line.trim_start().starts_with("//") {
+            lines.push((idx + 1, line, prev));
         }
         prev = line;
     }
+    lines
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +371,50 @@ fn env_var_names(text: &str) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
+// Check 5: no environment reads in non-test library code.
+// ---------------------------------------------------------------------------
+
+/// Library crates whose runtime options must all come through their config
+/// types. Benches, the workload generator and test harnesses may read the
+/// environment (scale knobs, seed overrides).
+const ENV_FREE_PATHS: &[&str] = &[
+    "crates/core/src",
+    "crates/relational/src",
+    "crates/xpath/src",
+    "crates/xml/src",
+    "crates/xscl/src",
+];
+
+/// `std::env::var`, `env::var_os`, `env::vars`, … — any read of the
+/// process environment. No waiver: a knob that needs the environment
+/// belongs in a config struct instead.
+const ENV_READ: &str = "env::var";
+
+fn check_no_env_reads(root: &Path, out: &mut Vec<String>) {
+    for path in ENV_FREE_PATHS {
+        for file in rust_files(&root.join(path)) {
+            scan_file_for_env_reads(root, &file, out);
+        }
+    }
+}
+
+fn scan_file_for_env_reads(root: &Path, file: &Path, out: &mut Vec<String>) {
+    let Ok(text) = fs::read_to_string(file) else {
+        out.push(format!("{}: unreadable", rel(root, file)));
+        return;
+    };
+    for (number, line, _) in non_test_code(&text) {
+        if line.contains(ENV_READ) {
+            out.push(format!(
+                "{}:{}: reads the environment in non-test library code (make it an `EngineConfig` option)",
+                rel(root, file),
+                number
+            ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -423,6 +484,22 @@ mod tests {
         scan_file_for_panics(&dir, &file, &mut out);
         assert_eq!(out.len(), 1, "violations: {out:?}");
         assert!(out[0].contains("scan_case.rs:4"), "{out:?}");
+    }
+
+    #[test]
+    fn env_reads_in_non_test_code_are_rejected() {
+        // Two reads in library code are flagged (no waiver applies); the
+        // comment and the unit-test module are not.
+        let src = "pub fn knob() -> bool {\n    // std::env::var in a comment is fine\n    std::env::var(\"X\").is_ok()\n}\nfn other() { let _ = std::env::var_os(\"Y\"); } // lint:allow no waiver here\n#[cfg(test)]\nmod tests {\n    fn t() { std::env::var(\"Z\").ok(); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("env_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_env_reads(&dir, &file, &mut out);
+        assert_eq!(out.len(), 2, "violations: {out:?}");
+        assert!(out[0].contains("env_case.rs:3"), "{out:?}");
+        assert!(out[1].contains("env_case.rs:5"), "{out:?}");
     }
 
     #[test]
