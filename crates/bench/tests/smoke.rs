@@ -42,5 +42,6 @@ bench_smoke! {
     fig18_window_churn => "../benches/fig18_window_churn.rs";
     fig19_subscription_churn => "../benches/fig19_subscription_churn.rs";
     micro_operators => "../benches/micro_operators.rs";
+    output_delivery => "../benches/output_delivery.rs";
     table3_templates => "../benches/table3_templates.rs";
 }

@@ -211,12 +211,13 @@ pub fn template_cqt_materialized(template: &QueryTemplate, rt: &str) -> Conjunct
 /// form with the query's concrete (interned) variable names substituted for
 /// the meta-variables and no `RT` atom. The head is
 /// `(d1, d2, n0, ..., n{M-1})`.
-pub fn per_query_cqt(
+pub fn per_query_cqt<S: AsRef<str>>(
     template: &QueryTemplate,
-    assignment: &[String],
+    assignment: &[S],
     interner: &StringInterner,
 ) -> ConjunctiveQuery {
-    let sym = |i: usize| -> Term { Term::Const(Value::Sym(interner.intern(&assignment[i]))) };
+    let sym =
+        |i: usize| -> Term { Term::Const(Value::Sym(interner.intern(assignment[i].as_ref()))) };
 
     let mut head = vec!["d1".to_owned(), "d2".to_owned()];
     for i in 0..template.num_meta_vars() {

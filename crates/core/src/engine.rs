@@ -6,7 +6,7 @@ use crate::config::{EngineConfig, FaultPolicy, ProcessingMode};
 use crate::cqt::PlanInputKind;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
-use crate::output::{construct_join_output, Binding, MatchOutput};
+use crate::output::{Binding, MatchOutput, OutputDocument};
 use crate::registry::{QueryRuntime, Registration, Registry};
 use crate::relations::{rl_row, schemas, WitnessBatch};
 use crate::state::{key_int, key_sym, JoinState};
@@ -17,7 +17,7 @@ use mmqjp_relational::{
 };
 use mmqjp_xml::{DocId, Document, NodeId};
 use mmqjp_xpath::{EdgeBinding, PatternMatcher, SharedPass, TreePattern};
-use mmqjp_xscl::{JoinOp, QueryId, SelectClause, Side, XsclQuery};
+use mmqjp_xscl::{JoinOp, QueryId, SelectClause, XsclQuery};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -208,13 +208,14 @@ impl MmqjpEngine {
         // Replay re-derives join state only; the Stage-1 timings of the
         // original run are not counted twice (the whole replay is recovery).
         let mut timings = PhaseTimings::default();
-        for doc in docs {
+        let docs: Vec<Arc<Document>> = docs.iter().cloned().map(Arc::new).collect();
+        for doc in &docs {
             self.next_doc_seq = self.next_doc_seq.max(doc.id().raw());
             self.newest_timestamp = self.newest_timestamp.max(doc.timestamp().raw());
             self.stage1(doc, &mut pass, &mut batch, None, &mut timings)?;
         }
         let rows = batch.rbin_w.len() + batch.rdoc_w.len();
-        self.maintain_state(batch, docs, None)?;
+        self.maintain_state(batch, &docs, None)?;
         self.stats.rows_replayed += rows;
         self.stats.timings.recovery += t0.elapsed();
         Ok(rows)
@@ -339,6 +340,9 @@ impl MmqjpEngine {
             doc.set_id(DocId(tentative));
             doc.set_timestamp(mmqjp_xml::Timestamp(ts));
             self.newest_timestamp = self.newest_timestamp.max(ts);
+            // Shared from here on: the document store and every output that
+            // reads this document hold the same allocation.
+            let doc = Arc::new(doc);
 
             self.stage1(
                 &doc,
@@ -372,7 +376,7 @@ impl MmqjpEngine {
             let result_rows = self.evaluate_stage2(&batch, &mut rbinw_index, &mut timings)?;
             let t_out = Instant::now();
             for (rid, rows) in result_rows {
-                outputs.extend(self.produce_outputs(rid, &rows, &batch, &prepared_docs)?);
+                outputs.extend(self.produce_outputs(rid, &rows, &prepared_docs)?);
             }
             timings.output += t_out.elapsed();
         }
@@ -398,7 +402,7 @@ impl MmqjpEngine {
     /// `timings.ingest`; the caller owns the surrounding `xpath` interval.
     fn stage1(
         &mut self,
-        doc: &Document,
+        doc: &Arc<Document>,
         pass: &mut SharedPass,
         batch: &mut WitnessBatch,
         singles: Option<&mut Vec<MatchOutput>>,
@@ -471,13 +475,13 @@ impl MmqjpEngine {
 
     /// Turn a result relation into match outputs, applying the temporal
     /// constraint. `rid_override` is `-1` for template results (which carry a
-    /// qid column) and a concrete rid for Sequential results.
+    /// qid column) and a concrete rid for Sequential results. `batch_docs`
+    /// are the batch's stamped documents, in arrival order.
     fn produce_outputs(
         &self,
         rid_override: i64,
         rows: &Relation,
-        batch: &WitnessBatch,
-        batch_docs: &[Document],
+        batch_docs: &[Arc<Document>],
     ) -> CoreResult<Vec<MatchOutput>> {
         let mut outputs = Vec::new();
         let template_mode = rid_override < 0;
@@ -514,9 +518,10 @@ impl MmqjpEngine {
             let Some(ts1) = self.state.doc_timestamp(d1) else {
                 continue;
             };
-            let Some(ts2) = batch.timestamp_of(d2).map(|t| t.raw()) else {
+            let Some(cur_doc) = batch_document(batch_docs, d2) else {
                 continue;
             };
+            let ts2 = cur_doc.timestamp().raw();
             let window = query.window.unwrap_or(mmqjp_xscl::Window::Infinite);
             let temporal_ok = match query.op {
                 Some(JoinOp::FollowedBy) => ts2 > ts1 && window.accepts_delta(ts2 - ts1),
@@ -529,20 +534,13 @@ impl MmqjpEngine {
             if !temporal_ok {
                 continue;
             }
-            outputs.push(self.build_match(
-                query,
-                registration,
-                row,
-                nodes_offset,
-                d1,
-                d2,
-                batch_docs,
-            )?);
+            outputs.push(self.build_match(query, registration, row, nodes_offset, d1, cur_doc)?);
         }
         Ok(outputs)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// One match of `registration` between the retained document `d1` and
+    /// the batch document `cur_doc`.
     fn build_match(
         &self,
         query: &QueryRuntime,
@@ -550,9 +548,9 @@ impl MmqjpEngine {
         row: RowRef<'_>,
         nodes_offset: usize,
         d1: DocId,
-        d2: DocId,
-        batch_docs: &[Document],
+        cur_doc: &Arc<Document>,
     ) -> CoreResult<MatchOutput> {
+        let d2 = cur_doc.id();
         let template = &self
             .registry
             .template_runtime(registration.template)
@@ -581,15 +579,7 @@ impl MmqjpEngine {
         };
 
         let document = if self.config.retain_documents && query.select == SelectClause::Star {
-            self.construct_output_document(
-                registration,
-                template,
-                row,
-                nodes_offset,
-                d1,
-                d2,
-                batch_docs,
-            )?
+            self.output_document(registration, row, nodes_offset, d1, cur_doc)?
         } else {
             None
         };
@@ -604,49 +594,35 @@ impl MmqjpEngine {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn construct_output_document(
+    /// The `SELECT *` output of a join match, as a handle on the previous
+    /// (retained) and current (in-batch) documents. Each side is rooted at
+    /// its pattern-root binding when the template carries one
+    /// ([`Registration::output_roots`]), otherwise at the document root.
+    fn output_document(
         &self,
         registration: &Registration,
-        template: &mmqjp_xscl::QueryTemplate,
         row: RowRef<'_>,
         nodes_offset: usize,
         d1: DocId,
-        d2: DocId,
-        batch_docs: &[Document],
-    ) -> CoreResult<Option<Document>> {
+        cur_doc: &Arc<Document>,
+    ) -> CoreResult<Option<OutputDocument>> {
         let Some(prev_doc) = self.state.document(d1) else {
             return Ok(None);
         };
-        let Some(cur_doc) = batch_docs.iter().find(|d| d.id() == d2) else {
-            return Ok(None);
+        let root = |pos: Option<usize>| match pos {
+            Some(pos) => result_node(row, nodes_offset + pos),
+            None => Ok(NodeId::ROOT),
         };
-
-        // Root binding of a side: the binding of the template-side root
-        // position when that position corresponds to the query's pattern
-        // root, otherwise the document root.
-        let side_root = |side: Side, pattern: &TreePattern| -> CoreResult<NodeId> {
-            let pos = match side {
-                Side::Left => 0,
-                Side::Right => template.num_left(),
-            };
-            let root_var = pattern.root().variable().unwrap_or("");
-            if registration.assignment[pos] == root_var {
-                result_node(row, nodes_offset + pos)
-            } else {
-                Ok(NodeId::ROOT)
-            }
-        };
-        let prev_root = side_root(Side::Left, &registration.prev_pattern)?;
-        let cur_root = side_root(Side::Right, &registration.cur_pattern)?;
+        let prev_root = root(registration.output_roots[0])?;
+        let cur_root = root(registration.output_roots[1])?;
 
         // The output puts the query's left block first.
-        let out = if registration.swapped {
-            construct_join_output(cur_doc, cur_root, prev_doc, prev_root)?
+        let (prev_doc, cur_doc) = (Arc::clone(prev_doc), Arc::clone(cur_doc));
+        Ok(Some(if registration.swapped {
+            OutputDocument::join(cur_doc, cur_root, prev_doc, prev_root)
         } else {
-            construct_join_output(prev_doc, prev_root, cur_doc, cur_root)?
-        };
-        Ok(Some(out))
+            OutputDocument::join(prev_doc, prev_root, cur_doc, cur_root)
+        }))
     }
 
     /// Answer single-block subscriptions from a shared automaton pass: the
@@ -655,7 +631,7 @@ impl MmqjpEngine {
     /// sets.
     fn match_single_blocks_from_pass(
         &self,
-        doc: &Document,
+        doc: &Arc<Document>,
         pass: &SharedPass,
         outputs: &mut Vec<MatchOutput>,
     ) {
@@ -670,18 +646,18 @@ impl MmqjpEngine {
                 continue;
             }
             let matcher = PatternMatcher::new(pattern);
-            for w in matcher.witnesses_from_useful(doc, useful) {
+            for w in matcher.witnesses_from_useful(&**doc, useful) {
                 let bindings = w
                     .bindings()
                     .iter()
                     .map(|(v, n)| Binding {
-                        variable: v.clone(),
+                        variable: Arc::from(v.as_str()),
                         doc: doc.id(),
                         node: *n,
                     })
                     .collect();
                 let document = if self.config.retain_documents && q.select == SelectClause::Star {
-                    Some(doc.clone())
+                    Some(OutputDocument::whole(Arc::clone(doc)))
                 } else {
                     None
                 };
@@ -704,7 +680,7 @@ impl MmqjpEngine {
     fn maintain_state(
         &mut self,
         batch: WitnessBatch,
-        docs: &[Document],
+        docs: &[Arc<Document>],
         rbinw_index: Option<RbinwByDocnode>,
     ) -> CoreResult<()> {
         // Algorithm 5: fold the current documents' RR contributions into the
@@ -1082,6 +1058,15 @@ fn compute_rl_rr(
     }
     timings.compute_rr += t_rr.elapsed();
     Ok((rl, rr, rbinw_by_docnode))
+}
+
+/// The batch document with id `doc`. A batch's ids are consecutive (a
+/// quarantined document consumes no sequence number), so it is found by
+/// offset from the first.
+fn batch_document(batch_docs: &[Arc<Document>], doc: DocId) -> Option<&Arc<Document>> {
+    let first = batch_docs.first()?.id().raw();
+    let found = batch_docs.get(usize::try_from(doc.raw().checked_sub(first)?).ok()?)?;
+    (found.id() == doc).then_some(found)
 }
 
 /// An integer column of a Stage-2 result row. The compiled plans project
@@ -1786,11 +1771,9 @@ mod tests {
         use mmqjp_relational::{Schema, Value};
         let mut e = engine(EngineConfig::mmqjp());
         e.process_document(d1()).unwrap();
-        // The current batch holds d2 as document 2; its ledger row is all
+        // The current batch holds d2 as document 2; its timestamp is all
         // the temporal filter needs.
         let d2 = d2().with_id(DocId(2));
-        let mut batch = WitnessBatch::new();
-        batch.add_document(&d2, &[], e.interner()).unwrap();
         let registration = &e.registry().query(QueryId(0)).unwrap().registrations[0];
         let num_vars = e
             .registry()
@@ -1809,18 +1792,16 @@ mod tests {
             rows.push_values(row).unwrap();
             rows
         };
-        let docs = [d2.clone()];
+        let docs = [Arc::new(d2.clone())];
         let out = e
-            .produce_outputs(-1, &rows_of(good.clone()), &batch, &docs)
+            .produce_outputs(-1, &rows_of(good.clone()), &docs)
             .unwrap();
         assert_eq!(out.len(), 1, "the well-formed row is a match");
 
         for (col, column) in [(0, "qid"), (1, "d1"), (2, "d2"), (3, "node")] {
             let mut row = good.clone();
             row[col] = Value::Null;
-            let err = e
-                .produce_outputs(-1, &rows_of(row), &batch, &docs)
-                .unwrap_err();
+            let err = e.produce_outputs(-1, &rows_of(row), &docs).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1832,9 +1813,7 @@ mod tests {
         // A node id outside the u32 range is corrupt, not truncated.
         let mut row = good;
         row[3] = Value::Int(i64::from(u32::MAX) + 1);
-        let err = e
-            .produce_outputs(-1, &rows_of(row), &batch, &docs)
-            .unwrap_err();
+        let err = e.produce_outputs(-1, &rows_of(row), &docs).unwrap_err();
         assert!(matches!(
             err,
             CoreError::CorruptStateRow { column: "node", .. }

@@ -64,8 +64,16 @@
 //! let matches = engine.process_document(d2).unwrap();
 //! assert_eq!(matches.len(), 1);
 //! assert_eq!(engine.stats().results_emitted, 1);
+//!
+//! // The SELECT * output is built when it is first read.
+//! let output = matches[0].document.as_ref().unwrap();
+//! assert_eq!(output.root().tag(), "result");
 //! # let _ = ProcessingMode::Mmqjp;
 //! ```
+//!
+//! Producing a match copies no document: the engine shares each stamped
+//! document by `Arc` between its document store and the
+//! [`OutputDocument`] handles of the matches that read it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -94,7 +102,7 @@ pub use config::{EngineConfig, FaultPolicy, ProcessingMode};
 pub use engine::MmqjpEngine;
 pub use error::{CoreError, CoreResult};
 pub use fault::{corrupt_bytes, FaultInjector, FaultKind, FaultPlan, QuarantineRecord};
-pub use output::{sort_matches, Binding, MatchOutput};
+pub use output::{construct_join_output, sort_matches, Binding, MatchOutput, OutputDocument};
 pub use recovery::ReplayLog;
 pub use registry::{QueryRuntime, Registry, TemplateRuntime};
 pub use relations::{schemas, WitnessBatch};

@@ -1,17 +1,19 @@
 //! Query match outputs and default output-document construction
 //! (Algorithm 3 and the `SELECT *` semantics of Section 2).
 
-use crate::error::{CoreError, CoreResult};
 use mmqjp_xml::{DocId, Document, NodeId};
 use mmqjp_xscl::QueryId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// One variable binding reported in a match.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Binding {
-    /// The query's (canonical) variable name.
-    pub variable: String,
+    /// The query's (canonical) variable name, shared with the registry: a
+    /// match clones a reference count, not the name.
+    pub variable: Arc<str>,
     /// The document the node belongs to.
     pub doc: DocId,
     /// The bound node.
@@ -27,12 +29,16 @@ impl fmt::Display for Binding {
 /// One match of a registered query: a pair of documents satisfying the
 /// query's value joins and temporal constraint (or a single document for
 /// single-block subscriptions).
+///
+/// Producing a match copies no document: [`document`](Self::document) holds
+/// its sources by reference and builds the output tree only when it is
+/// read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchOutput {
     /// The query that matched.
     pub query: QueryId,
-    /// The query's `PUBLISH` stream, if any.
-    pub publish: Option<String>,
+    /// The query's `PUBLISH` stream, if any (shared with the registry).
+    pub publish: Option<Arc<str>>,
     /// The document matched by the query's *left* block. For single-block
     /// subscriptions this equals `right_doc`.
     pub left_doc: DocId,
@@ -43,24 +49,24 @@ pub struct MatchOutput {
     /// the query's template, or per pattern variable for single-block
     /// subscriptions).
     pub bindings: Vec<Binding>,
-    /// The constructed output document (`SELECT *` semantics), when the
-    /// engine retains documents; `None` otherwise or for
-    /// `SELECT BINDINGS` queries.
-    pub document: Option<Document>,
+    /// The output document (`SELECT *` semantics), when the engine retains
+    /// documents; `None` otherwise or for `SELECT BINDINGS` queries. It
+    /// dereferences to a [`Document`], built on first read.
+    pub document: Option<OutputDocument>,
 }
 
 impl MatchOutput {
     /// The binding of a given variable, if present.
     pub fn binding(&self, variable: &str) -> Option<&Binding> {
-        self.bindings.iter().find(|b| b.variable == variable)
+        self.bindings.iter().find(|b| &*b.variable == variable)
     }
 
     /// Compare two matches by `(query, left_doc, right_doc, bindings)`.
     ///
     /// This is a total order on the matches a batch can produce: the bindings
     /// determine the result tuple the match was built from, so two matches
-    /// comparing `Equal` are identical (including their constructed output
-    /// document). Used by [`sort_matches`] to impose the canonical order.
+    /// comparing `Equal` are identical (including their output document).
+    /// Used by [`sort_matches`] to impose the canonical order.
     pub fn canonical_cmp(&self, other: &MatchOutput) -> std::cmp::Ordering {
         self.query
             .cmp(&other.query)
@@ -91,6 +97,88 @@ impl fmt::Display for MatchOutput {
     }
 }
 
+/// The output document of a match, held as a handle on its source
+/// documents.
+///
+/// The engine shares each retained document by [`Arc`], so a handle costs
+/// two reference counts and two node ids. Dereferencing it yields the
+/// [`Document`]: for a single-block match, the matched document itself; for
+/// a join match, the `SELECT *` tree of [`construct_join_output`], built on
+/// the first read and cached. A handle keeps its sources alive after the
+/// engine has evicted them, so it reads the same at any later time.
+///
+/// Equality compares the dereferenced documents.
+#[derive(Clone)]
+pub struct OutputDocument(OutputSource);
+
+#[derive(Clone)]
+enum OutputSource {
+    Whole(Arc<Document>),
+    Join {
+        left: Arc<Document>,
+        left_root: NodeId,
+        right: Arc<Document>,
+        right_root: NodeId,
+        built: OnceLock<Document>,
+    },
+}
+
+impl OutputDocument {
+    /// The output of a single-block match: the matched document itself.
+    pub fn whole(doc: Arc<Document>) -> Self {
+        OutputDocument(OutputSource::Whole(doc))
+    }
+
+    /// The output of a join match: a new `result` root over the subtree of
+    /// `left` at `left_root` and the subtree of `right` at `right_root`,
+    /// built on first read.
+    pub fn join(
+        left: Arc<Document>,
+        left_root: NodeId,
+        right: Arc<Document>,
+        right_root: NodeId,
+    ) -> Self {
+        OutputDocument(OutputSource::Join {
+            left,
+            left_root,
+            right,
+            right_root,
+            built: OnceLock::new(),
+        })
+    }
+}
+
+impl Deref for OutputDocument {
+    type Target = Document;
+
+    fn deref(&self) -> &Document {
+        match &self.0 {
+            OutputSource::Whole(doc) => doc,
+            OutputSource::Join {
+                left,
+                left_root,
+                right,
+                right_root,
+                built,
+            } => built.get_or_init(|| construct_join_output(left, *left_root, right, *right_root)),
+        }
+    }
+}
+
+impl PartialEq for OutputDocument {
+    fn eq(&self, other: &OutputDocument) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for OutputDocument {}
+
+impl fmt::Debug for OutputDocument {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("OutputDocument").field(&**self).finish()
+    }
+}
+
 /// Construct the default (`SELECT *`) output document for a join match: a new
 /// root element whose two children are the subtrees of the left and right
 /// input documents rooted at the query blocks' root bindings.
@@ -99,35 +187,8 @@ pub fn construct_join_output(
     left_root: NodeId,
     right_doc: &Document,
     right_root: NodeId,
-) -> CoreResult<Document> {
-    let mut out = Document::new("result");
-    copy_subtree(left_doc, left_root, &mut out, NodeId::ROOT)?;
-    copy_subtree(right_doc, right_root, &mut out, NodeId::ROOT)?;
-    Ok(out)
-}
-
-/// Copy the subtree of `src` rooted at `src_node` under `dst_parent` in
-/// `dst`.
-fn copy_subtree(
-    src: &Document,
-    src_node: NodeId,
-    dst: &mut Document,
-    dst_parent: NodeId,
-) -> CoreResult<()> {
-    let node = src.node(src_node);
-    let new_id = dst
-        .append_child(dst_parent, node.tag())
-        .map_err(|_| CoreError::internal("output document is built in pre-order"))?;
-    if let Some(text) = node.text() {
-        dst.set_text(new_id, text);
-    }
-    for (name, value) in node.attributes() {
-        dst.set_attribute(new_id, name.clone(), value.clone());
-    }
-    for &child in node.children() {
-        copy_subtree(src, child, dst, new_id)?;
-    }
-    Ok(())
+) -> Document {
+    Document::from_subtrees("result", &[(left_doc, left_root), (right_doc, right_root)])
 }
 
 #[cfg(test)]
@@ -199,7 +260,7 @@ mod tests {
             "Book Announcement",
             "Just heard ...",
         );
-        let out = construct_join_output(&d1, NodeId::ROOT, &d2, NodeId::ROOT).unwrap();
+        let out = construct_join_output(&d1, NodeId::ROOT, &d2, NodeId::ROOT);
         assert_eq!(out.root().tag(), "result");
         assert_eq!(out.root().children().len(), 2);
         let xml = serialize(&out);
@@ -218,9 +279,59 @@ mod tests {
         let author = d1.first_with_tag("author").unwrap();
         let d2 = rss::blog_article("A", "u", "T", "C", "D");
         let title = d2.first_with_tag("title").unwrap();
-        let out = construct_join_output(&d1, author, &d2, title).unwrap();
+        let out = construct_join_output(&d1, author, &d2, title);
         assert_eq!(out.len(), 3);
         let xml = serialize(&out);
         assert_eq!(xml, "<result><author>A</author><title>T</title></result>");
+    }
+
+    #[test]
+    fn output_handle_materializes_the_eager_output_once() {
+        let d1 = Arc::new(rss::book_announcement(&["A"], "T", &["C"], "P", "I"));
+        let d2 = Arc::new(rss::blog_article("A", "u", "T", "C", "D"));
+        let title = d2.first_with_tag("title").unwrap();
+        let handle = OutputDocument::join(Arc::clone(&d1), NodeId::ROOT, Arc::clone(&d2), title);
+        let eager = construct_join_output(&d1, NodeId::ROOT, &d2, title);
+        // The sources may go away: the handle keeps them alive.
+        drop((d1, d2));
+        assert_eq!(*handle, eager);
+        assert_eq!(handle.clone(), handle);
+
+        let whole = Arc::new(rss::blog_article("B", "v", "U", "C", "E"));
+        let single = OutputDocument::whole(Arc::clone(&whole));
+        assert!(
+            std::ptr::eq(&*single, &*whole),
+            "single-block output is shared"
+        );
+        assert_ne!(single, handle);
+    }
+
+    #[test]
+    fn deep_output_materializes_on_a_small_stack() {
+        const DEPTH: usize = 100_000;
+        let worker = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut chain = Document::new("d");
+                let mut last = NodeId::ROOT;
+                for _ in 0..DEPTH {
+                    last = chain.append_child(last, "d").unwrap();
+                }
+                chain.set_text(last, "leaf");
+                let chain = Arc::new(chain);
+                let out = OutputDocument::join(
+                    Arc::clone(&chain),
+                    NodeId::ROOT,
+                    chain,
+                    NodeId::from_raw(1),
+                );
+                let doc: &Document = &out;
+                assert_eq!(doc.len(), 1 + (DEPTH + 1) + DEPTH);
+                assert_eq!(doc.depth(NodeId::from_raw(DEPTH as u32 + 1)), DEPTH + 1);
+                assert_eq!(doc.root().children().len(), 2);
+                doc.check_invariants().unwrap();
+            })
+            .unwrap();
+        worker.join().unwrap();
     }
 }

@@ -144,8 +144,13 @@ pub struct Registration {
     /// The template this orientation belongs to.
     pub template: TemplateId,
     /// Per meta-variable position, this orientation's canonical variable
-    /// name.
-    pub assignment: Vec<String>,
+    /// name, shared with the interner: every match binding clones these.
+    pub assignment: Vec<Arc<str>>,
+    /// Where the `SELECT *` output roots each side: the meta-variable
+    /// position bound to the pattern root of [`prev_pattern`](Self::prev_pattern)
+    /// and of [`cur_pattern`](Self::cur_pattern), or `None` when that side's
+    /// output is the whole document.
+    pub output_roots: [Option<usize>; 2],
     /// `true` when this orientation has the query's *right* block playing the
     /// previous-document role.
     pub swapped: bool,
@@ -185,8 +190,8 @@ pub struct QueryRuntime {
     pub op: Option<JoinOp>,
     /// The window (None for single-block subscriptions).
     pub window: Option<Window>,
-    /// The `PUBLISH` name, if any.
-    pub publish: Option<String>,
+    /// The `PUBLISH` name, if any (shared with every match output).
+    pub publish: Option<Arc<str>>,
     /// The `SELECT` clause.
     pub select: SelectClause,
     /// The registered orientations (empty for single-block subscriptions).
@@ -208,6 +213,14 @@ impl QueryRuntime {
     pub fn is_join(&self) -> bool {
         !self.registrations.is_empty()
     }
+}
+
+/// The meta-variable position whose binding roots a side's `SELECT *`
+/// output: the side's first position when it holds the pattern root's
+/// variable, otherwise `None` (the output copies the whole document).
+fn output_root(assignment: &[Arc<str>], pos: usize, pattern: &TreePattern) -> Option<usize> {
+    let root_var = pattern.root().variable().unwrap_or("");
+    (assignment.get(pos).map(|v| &**v) == Some(root_var)).then_some(pos)
 }
 
 /// Check a compiled plan against its source conjunctive query and the engine
@@ -357,7 +370,7 @@ impl Registry {
                     id,
                     op: None,
                     window: None,
-                    publish: nq.publish.clone(),
+                    publish: nq.publish.as_deref().map(Arc::from),
                     select: nq.select,
                     registrations: Vec::new(),
                     single_pattern: Some(block.pattern.clone()),
@@ -394,8 +407,13 @@ impl Registry {
                     let rid = (id.raw() as i64) * 2 + if swapped { 1 } else { 0 };
                     // RT tuple: (qid, var1..varm, wl).
                     let mut tuple = vec![Value::Int(rid)];
+                    let mut assignment = Vec::with_capacity(membership.assignment.len());
                     for var in &membership.assignment {
-                        tuple.push(Value::Sym(self.interner.intern(var)));
+                        let sym = self.interner.intern(var);
+                        tuple.push(Value::Sym(sym));
+                        assignment.push(self.interner.resolve(sym).ok_or(CoreError::internal(
+                            "a just-interned variable name resolves",
+                        ))?);
                     }
                     tuple.push(Value::Int(window_length(window)));
                     self.template_mut(membership.template)?
@@ -407,46 +425,56 @@ impl Registry {
                     // the requested edge set.
                     let prev_pattern = oriented.left.clone();
                     let cur_pattern = oriented.right.clone();
+                    let num_left = self
+                        .template_runtime(membership.template)
+                        .ok_or(CoreError::internal(
+                            "a just-created or just-joined template is live",
+                        ))?
+                        .template
+                        .num_left();
+                    let output_roots = [
+                        output_root(&assignment, 0, &prev_pattern),
+                        output_root(&assignment, num_left, &cur_pattern),
+                    ];
                     let (prev_pid, prev_edges) =
                         self.register_pattern_edges(&prev_pattern, &reduced, Side::Left);
                     let (cur_pid, cur_edges) =
                         self.register_pattern_edges(&cur_pattern, &reduced, Side::Right);
 
-                    let (sequential_cqt, sequential_plan, sequential_inputs) = if mode
-                        == ProcessingMode::Sequential
-                    {
-                        let template = &self
-                            .template_runtime(membership.template)
-                            .ok_or(CoreError::internal(
-                                "a just-created or just-joined template is not live",
-                            ))?
-                            .template;
-                        let cq =
-                            cqt::per_query_cqt(template, &membership.assignment, &self.interner);
-                        // Per-query CQTs only touch the fixed-schema base
-                        // relations; no RT atom to resolve.
-                        let arity_of = |rel: &str| cqt::relation_arity(rel, "", 0);
-                        let plan = PhysicalPlan::compile(&cq, arity_of)?;
-                        if self.verify_plans {
-                            verify_compiled(&plan, &cq, arity_of, true)?;
-                        }
-                        let inputs = cqt::plan_input_kinds(&plan, "");
-                        self.plans_compiled += 1;
-                        (cq, Some(plan), inputs)
-                    } else {
-                        // Placeholder; never evaluated outside Sequential
-                        // mode.
-                        (
-                            ConjunctiveQuery::new(Vec::<String>::new()),
-                            None,
-                            Vec::new(),
-                        )
-                    };
+                    let (sequential_cqt, sequential_plan, sequential_inputs) =
+                        if mode == ProcessingMode::Sequential {
+                            let template = &self
+                                .template_runtime(membership.template)
+                                .ok_or(CoreError::internal(
+                                    "a just-created or just-joined template is not live",
+                                ))?
+                                .template;
+                            let cq = cqt::per_query_cqt(template, &assignment, &self.interner);
+                            // Per-query CQTs only touch the fixed-schema base
+                            // relations; no RT atom to resolve.
+                            let arity_of = |rel: &str| cqt::relation_arity(rel, "", 0);
+                            let plan = PhysicalPlan::compile(&cq, arity_of)?;
+                            if self.verify_plans {
+                                verify_compiled(&plan, &cq, arity_of, true)?;
+                            }
+                            let inputs = cqt::plan_input_kinds(&plan, "");
+                            self.plans_compiled += 1;
+                            (cq, Some(plan), inputs)
+                        } else {
+                            // Placeholder; never evaluated outside Sequential
+                            // mode.
+                            (
+                                ConjunctiveQuery::new(Vec::<String>::new()),
+                                None,
+                                Vec::new(),
+                            )
+                        };
 
                     let registration = Registration {
                         rid,
                         template: membership.template,
-                        assignment: membership.assignment,
+                        assignment,
+                        output_roots,
                         swapped,
                         prev_pattern,
                         cur_pattern,
@@ -467,7 +495,7 @@ impl Registry {
                     id,
                     op: Some(op),
                     window: Some(window),
-                    publish: nq.publish.clone(),
+                    publish: nq.publish.as_deref().map(Arc::from),
                     select: nq.select,
                     registrations,
                     single_pattern: None,

@@ -21,7 +21,7 @@
 
 use crate::error::{CoreError, CoreResult};
 use mmqjp_relational::{Relation, RowRef, StringInterner, Symbol, Value};
-use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
+use mmqjp_xml::{DocId, Document, NodeId};
 use mmqjp_xpath::{binding_string_value, EdgeBinding, TreePattern};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -182,16 +182,6 @@ impl WitnessBatch {
     pub fn num_witness_rows(&self) -> usize {
         self.rbin_w.len() + self.rdoc_w.len()
     }
-
-    /// Timestamp of a document in the batch.
-    pub fn timestamp_of(&self, doc: DocId) -> Option<Timestamp> {
-        let key = Value::Int(doc.raw() as i64);
-        self.rdoc_ts_w
-            .iter()
-            .find(|t| t[0] == key)
-            .and_then(|t| t[1].as_int())
-            .map(|v| Timestamp(v as u64))
-    }
 }
 
 impl Default for WitnessBatch {
@@ -203,7 +193,7 @@ impl Default for WitnessBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmqjp_xml::rss;
+    use mmqjp_xml::{rss, Timestamp};
     use mmqjp_xpath::{parse_pattern, PatternMatcher};
 
     fn interner() -> Arc<StringInterner> {
@@ -258,8 +248,12 @@ mod tests {
         assert_eq!(batch.rbin_w.len(), 5);
         assert_eq!(batch.rdoc_w.len(), 5);
         assert_eq!(batch.rdoc_ts_w.len(), 1);
-        assert_eq!(batch.timestamp_of(DocId(1)), Some(Timestamp(10)));
-        assert_eq!(batch.timestamp_of(DocId(9)), None);
+        let ledger: Vec<(Value, Value)> = batch
+            .rdoc_ts_w
+            .iter()
+            .map(|t| (t[0].clone(), t[1].clone()))
+            .collect();
+        assert_eq!(ledger, vec![(Value::Int(1), Value::Int(10))]);
 
         // All string values were interned; Danny Ayers appears among them.
         assert!(interner.get("Danny Ayers").is_some());

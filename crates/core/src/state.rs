@@ -26,6 +26,7 @@ use mmqjp_relational::{
 };
 use mmqjp_xml::{DocId, Document};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Bucket width used when no window and no retention cap is known (nothing
 /// can expire then, so the width only shapes the ledger's segmentation).
@@ -167,8 +168,9 @@ pub(crate) struct JoinState {
     strval_rows: FxHashMap<Symbol, usize>,
     /// Timestamps of retained documents (temporal filter of Algorithm 3).
     doc_timestamps: HashMap<DocId, u64>,
-    /// Retained documents for output construction.
-    doc_store: HashMap<DocId, Document>,
+    /// Retained documents for output construction, shared with the match
+    /// outputs that reference them.
+    doc_store: HashMap<DocId, Arc<Document>>,
 }
 
 impl JoinState {
@@ -365,20 +367,20 @@ impl JoinState {
     }
 
     /// A retained document, if still in the store.
-    pub fn document(&self, doc: DocId) -> Option<&Document> {
+    pub fn document(&self, doc: DocId) -> Option<&Arc<Document>> {
         self.doc_store.get(&doc)
     }
 
     /// Absorb a processed batch into the state (Algorithm 2): move the
     /// witness rows whole into their timestamp buckets — the batch is
     /// consumed, so no per-value copies happen — maintain the per-bucket
-    /// indexes and the retention ledger, and retain documents when asked to.
-    /// `docs` are the batch's stamped documents; every witness row must
-    /// belong to one of them.
+    /// indexes and the retention ledger, and retain documents (by reference)
+    /// when asked to. `docs` are the batch's stamped documents; every witness
+    /// row must belong to one of them.
     pub fn absorb(
         &mut self,
         batch: WitnessBatch,
-        docs: &[Document],
+        docs: &[Arc<Document>],
         retain_documents: bool,
     ) -> CoreResult<()> {
         let ts_of: HashMap<i64, u64> = docs
@@ -420,7 +422,7 @@ impl JoinState {
         }
         if retain_documents {
             for doc in docs {
-                self.doc_store.insert(doc.id(), doc.clone());
+                self.doc_store.insert(doc.id(), Arc::clone(doc));
             }
         }
         Ok(())
@@ -799,7 +801,6 @@ mod tests {
     use super::*;
     use mmqjp_relational::StringInterner;
     use mmqjp_xml::Timestamp;
-    use std::sync::Arc;
 
     /// A minimal batch: one document with one Rdoc / Rbin / ledger row.
     fn batch_for(doc: &Document, strval: &str, interner: &Arc<StringInterner>) -> WitnessBatch {
@@ -828,11 +829,13 @@ mod tests {
         b
     }
 
-    fn doc(id: u64, ts: u64) -> Document {
-        mmqjp_xml::DocumentBuilder::new("item")
-            .finish()
-            .with_id(DocId(id))
-            .with_timestamp(Timestamp(ts))
+    fn doc(id: u64, ts: u64) -> Arc<Document> {
+        Arc::new(
+            mmqjp_xml::DocumentBuilder::new("item")
+                .finish()
+                .with_id(DocId(id))
+                .with_timestamp(Timestamp(ts)),
+        )
     }
 
     fn state(width: u64) -> (JoinState, Arc<StringInterner>) {

@@ -77,6 +77,44 @@ impl Document {
         }
     }
 
+    /// Build a document whose root element `root_tag` has one child per
+    /// entry of `subtrees`: a copy of the subtree of each source document
+    /// rooted at the given node, in order.
+    ///
+    /// The copy walks an explicit stack, so subtree depth is bounded by
+    /// memory, not by the call stack. A root id outside its source document
+    /// contributes nothing.
+    pub fn from_subtrees(root_tag: impl Into<String>, subtrees: &[(&Document, NodeId)]) -> Self {
+        let mut out = Document::new(root_tag);
+        let mut stack: Vec<(NodeId, NodeId)> = Vec::new();
+        for &(src, src_root) in subtrees {
+            if src_root.index() >= src.nodes.len() {
+                continue;
+            }
+            stack.push((src_root, NodeId::ROOT));
+            // Children are pushed in reverse, so popping visits the source
+            // subtree in pre-order and each copy takes the next pre-order id.
+            while let Some((src_id, dst_parent)) = stack.pop() {
+                let Some(node) = src.nodes.get(src_id.index()) else {
+                    continue;
+                };
+                let id = NodeId::from_raw(out.nodes.len() as u32);
+                out.nodes.push(Node {
+                    id,
+                    kind: node.kind,
+                    tag: node.tag.clone(),
+                    parent: Some(dst_parent),
+                    children: Vec::with_capacity(node.children.len()),
+                    attributes: node.attributes.clone(),
+                    text: node.text.clone(),
+                });
+                out.nodes[dst_parent.index()].children.push(id);
+                stack.extend(node.children.iter().rev().map(|&c| (c, id)));
+            }
+        }
+        out
+    }
+
     /// The document id.
     pub fn id(&self) -> DocId {
         self.id
@@ -447,6 +485,43 @@ mod tests {
         assert!(d.nodes_with_tag("missing").is_empty());
         assert_eq!(d.first_with_tag("title"), Some(NodeId::from_raw(3)));
         assert_eq!(d.first_with_tag("missing"), None);
+    }
+
+    #[test]
+    fn from_subtrees_copies_each_subtree_in_preorder() {
+        let d = figure1_doc();
+        let mut nested = Document::new("r");
+        let a = nested.append_child(NodeId::ROOT, "a").unwrap();
+        nested.set_attribute(a, "k", "v");
+        let b = nested.append_child(a, "b").unwrap();
+        nested.set_text(b, "x");
+        nested.append_child(a, "c").unwrap();
+        nested.append_child(NodeId::ROOT, "e").unwrap();
+
+        let out = Document::from_subtrees("result", &[(&d, NodeId::from_raw(3)), (&nested, a)]);
+        out.check_invariants().unwrap();
+        assert_eq!(out.len(), 1 + 1 + 3);
+        assert_eq!(
+            crate::serialize(&out),
+            "<result><title>Beginning RSS and Atom Programming</title>\
+             <a k=\"v\"><b>x</b><c/></a></result>"
+        );
+
+        let whole = Document::from_subtrees("result", &[(&d, NodeId::ROOT)]);
+        whole.check_invariants().unwrap();
+        assert_eq!(whole.len(), d.len() + 1);
+        assert_eq!(whole.node(NodeId::from_raw(1)).tag(), "book");
+        assert_eq!(
+            whole.string_value(NodeId::ROOT),
+            d.string_value(NodeId::ROOT)
+        );
+    }
+
+    #[test]
+    fn from_subtrees_skips_out_of_range_roots() {
+        let d = figure1_doc();
+        let out = Document::from_subtrees("result", &[(&d, NodeId::from_raw(99))]);
+        assert_eq!(out, Document::new("result"));
     }
 
     #[test]

@@ -6,6 +6,7 @@ use mmqjp_core::{
     ProcessingMode, ShardedEngine,
 };
 use mmqjp_xml::{rss, Document, Timestamp};
+use std::sync::Arc;
 
 /// Q1 of Table 2: book announcement followed by a blog article from one of
 /// its authors with the same title.
@@ -167,13 +168,13 @@ pub fn run_stream_sorted(engine: &mut MmqjpEngine, docs: Vec<Document>) -> Vec<M
 
 /// A comparable key for a match: `(query, left doc, right doc, sorted
 /// (variable, doc, node) bindings)`.
-pub type MatchKey = (u64, u64, u64, Vec<(String, u64, u32)>);
+pub type MatchKey = (u64, u64, u64, Vec<(Arc<str>, u64, u32)>);
 
 /// The [`MatchKey`] of one match. Output documents are excluded: Sequential
 /// and MMQJP construct identical documents, but comparing them is redundant
 /// given the bindings.
 pub fn match_key(m: &MatchOutput) -> MatchKey {
-    let mut bindings: Vec<(String, u64, u32)> = m
+    let mut bindings: Vec<(Arc<str>, u64, u32)> = m
         .bindings
         .iter()
         .map(|b| (b.variable.clone(), b.doc.raw(), b.node.raw()))

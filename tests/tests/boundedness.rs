@@ -11,6 +11,7 @@ use mmqjp_integration_tests::all_modes;
 use mmqjp_workload::{ChurnConfig, ChurnWorkload};
 use mmqjp_xml::{Document, Timestamp};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The churn workload used by the plateau tests: 250 items spanning 500
 /// time units against 30/80/200 windows, so every window fills by
@@ -274,7 +275,7 @@ fn query_with_window(pairs: &[(usize, usize)], window: u64) -> String {
 }
 
 /// A match keyed by timestamps: `(query, left ts, right ts, bindings)`.
-type TsKey = (u64, u64, u64, Vec<(String, u64, u32)>);
+type TsKey = (u64, u64, u64, Vec<(Arc<str>, u64, u32)>);
 
 /// Matches keyed by timestamps instead of document ids, so runs over
 /// different document subsets are comparable.
@@ -282,7 +283,7 @@ fn ts_keys(matches: &[MatchOutput], ts_of: impl Fn(u64) -> u64) -> Vec<TsKey> {
     let mut keys: Vec<_> = matches
         .iter()
         .map(|m| {
-            let mut bindings: Vec<(String, u64, u32)> = m
+            let mut bindings: Vec<(Arc<str>, u64, u32)> = m
                 .bindings
                 .iter()
                 .map(|b| (b.variable.clone(), ts_of(b.doc.raw()), b.node.raw()))
